@@ -23,7 +23,6 @@ pub mod engine;
 pub mod path;
 pub mod sensitize;
 pub mod sim;
-pub mod stuck;
 mod transition;
 
 pub use broadside::{BroadsideTest, TwoPatternTest};

@@ -7,11 +7,13 @@
 //! paper's Chapter 4 all expand from the same committed circuit state) and
 //! then diverge under per-lane primary-input sequences.
 //!
-//! Per-lane switching activity is computed with bit-sliced vertical
-//! counters, so the cost per cycle is `O(nodes · log nodes / 64)` words of
-//! work for all lanes together, and the resulting per-lane values are
-//! bit-identical to the scalar [`crate::seq::SeqSim`] (`toggles as f64 /
-//! num_nodes as f64`, undefined on the first cycle after a state load).
+//! Per-lane switching activity is counted in bit-sliced vertical counters
+//! by a branch-free Harley–Seal carry-save tree over 16-word blocks of
+//! toggle words, so one cycle costs a fixed handful of word operations per
+//! node for all lanes together, whatever the data. Each lane's value is
+//! `toggles as f64 / num_nodes as f64`, undefined on the first cycle after
+//! a state load — the paper's `SWA`. [`crate::seq::SeqSim`] is the
+//! one-lane view of this simulator.
 //!
 //! # Example
 //!
@@ -42,13 +44,13 @@ pub fn extract_lane(words: &[u64], lane: usize) -> Bits {
 }
 
 /// A bit-parallel sequential simulator evaluating up to 64 independent
-/// input sequences ("lanes") against the same netlist in lockstep.
+/// input sequences ("lanes") against the same netlist in lockstep, on the
+/// circuit's compiled [`Kernel`].
 ///
-/// Unlike [`crate::seq::SeqSim`] this simulator performs **no per-cycle
-/// heap allocation**: the value buffers are double-buffered and the
-/// switching-activity counters are reused, which is what makes speculative
-/// candidate expansion cheaper than one scalar pass per candidate even
-/// before fault simulation enters the picture.
+/// A step performs **no heap allocation**: the value buffers are
+/// double-buffered and the switching-activity counters are reused, so
+/// expanding a speculative batch as lanes costs one evaluation per cycle
+/// for the whole batch.
 #[derive(Debug, Clone)]
 pub struct LaneSeqSim<'a> {
     net: &'a Netlist,
@@ -58,8 +60,8 @@ pub struct LaneSeqSim<'a> {
     vals: Vec<u64>,
     prev_vals: Vec<u64>,
     have_prev: bool,
-    /// Vertical ripple-carry counters: `counters[k]` holds bit `k` of every
-    /// lane's toggle count for the current cycle.
+    /// Vertical counters: `counters[k]` holds bit `k` of every lane's toggle
+    /// count for the current cycle.
     counters: Vec<u64>,
     swa: Vec<f64>,
     swa_ready: bool,
@@ -76,8 +78,9 @@ impl<'a> LaneSeqSim<'a> {
     /// Panics if `lanes` is 0 or greater than 64.
     pub fn new(net: &'a Netlist, lanes: usize) -> Self {
         assert!((1..=64).contains(&lanes), "lanes must be in 1..=64");
-        // Enough vertical counter bits to count a toggle on every node.
-        let levels = (usize::BITS - net.num_nodes().leading_zeros()) as usize;
+        // Enough vertical counter bits to count a toggle on every node, and
+        // at least the four a Harley–Seal block accumulates into.
+        let levels = ((usize::BITS - net.num_nodes().leading_zeros()) as usize).max(4);
         LaneSeqSim {
             net,
             kernel: Kernel::for_netlist(net),
@@ -212,74 +215,75 @@ impl<'a> LaneSeqSim<'a> {
         self.have_prev = true;
     }
 
-    /// Accumulate `prev_vals ^ vals` into the vertical counters: after the
-    /// loop, lane `l`'s toggle count is `Σ_k ((counters[k] >> l) & 1) << k`.
+    /// Count `prev_vals ^ vals` into the vertical counters: afterwards lane
+    /// `l`'s toggle count is `Σ_k ((counters[k] >> l) & 1) << k`.
     ///
-    /// Toggle words are folded four at a time through carry-save adders
-    /// (exact: `s + 2c` preserves the column sums), so only every fourth
-    /// node reaches the rippled counter levels above `twos`.
+    /// A Harley–Seal carry-save tree folds each 16-word block of toggle
+    /// words into the weight-1/2/4/8 counters and emits one weight-16 carry
+    /// word, which ripples through the higher counters at a fixed depth.
+    /// The trailing partial block is zero-padded. Nothing branches on the
+    /// data, and every step preserves the per-lane column sums exactly.
     fn count_toggles(&mut self) {
-        #[inline]
-        fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-            let u = a ^ b;
-            (u ^ c, (a & b) | (u & c))
-        }
-        for c in &mut self.counters {
-            *c = 0;
-        }
-        let (mut ones, mut twos) = (0u64, 0u64);
-        let high = if self.counters.len() >= 2 {
-            &mut self.counters[2..]
-        } else {
-            &mut []
+        let (low, high) = self.counters.split_at_mut(4);
+        high.fill(0);
+        let mut acc = [0u64; 4];
+        let mut add_block = |toggles: &[u64; 16]| {
+            let mut carry = harley_seal16(&mut acc, toggles);
+            for c in high.iter_mut() {
+                let next = *c & carry;
+                *c ^= carry;
+                carry = next;
+            }
+            debug_assert_eq!(carry, 0, "toggle counter overflow");
         };
-        for (p4, v4) in self
-            .prev_vals
-            .chunks_exact(4)
-            .zip(self.vals.chunks_exact(4))
-        {
-            let (s1, c1) = csa(p4[0] ^ v4[0], p4[1] ^ v4[1], p4[2] ^ v4[2]);
-            let (s2, c2) = csa(s1, p4[3] ^ v4[3], ones);
-            ones = s2;
-            let (s3, mut carry) = csa(c1, c2, twos);
-            twos = s3;
-            for c in high.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let next = *c & carry;
-                *c ^= carry;
-                carry = next;
-            }
-            debug_assert_eq!(carry, 0, "toggle counter overflow");
+        let mut prev = self.prev_vals.chunks_exact(16);
+        let mut cur = self.vals.chunks_exact(16);
+        for (p, v) in (&mut prev).zip(&mut cur) {
+            let (p, v): (&[u64; 16], &[u64; 16]) = (
+                p.try_into().expect("16-word block"),
+                v.try_into().expect("16-word block"),
+            );
+            add_block(&std::array::from_fn(|i| p[i] ^ v[i]));
         }
-        let tail = self.prev_vals.len() - self.prev_vals.len() % 4;
-        for (p, v) in self.prev_vals[tail..].iter().zip(&self.vals[tail..]) {
-            let mut carry = p ^ v;
-            let next = ones & carry;
-            ones ^= carry;
-            carry = next;
-            let next = twos & carry;
-            twos ^= carry;
-            carry = next;
-            for c in high.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let next = *c & carry;
-                *c ^= carry;
-                carry = next;
-            }
-            debug_assert_eq!(carry, 0, "toggle counter overflow");
+        let (p, v) = (prev.remainder(), cur.remainder());
+        if !p.is_empty() {
+            add_block(&std::array::from_fn(|i| {
+                p.get(i).zip(v.get(i)).map_or(0, |(p, v)| p ^ v)
+            }));
         }
-        if let [c0, c1, ..] = &mut self.counters[..] {
-            *c0 = ones;
-            *c1 = twos;
-        } else if let [c0] = &mut self.counters[..] {
-            *c0 = ones;
-            debug_assert_eq!(twos, 0, "toggle counter overflow");
-        }
+        low.copy_from_slice(&acc);
     }
+}
+
+/// Carry-save adder: per bit column, `a + b + c = sum + 2 · carry`.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// Add 16 words into the vertical weight-1/2/4/8 counters `acc` and return
+/// the weight-16 carry word (Harley–Seal).
+#[inline(always)]
+fn harley_seal16(acc: &mut [u64; 4], t: &[u64; 16]) -> u64 {
+    let [ones, twos, fours, eights] = *acc;
+    let (ones, twos_a) = csa(ones, t[0], t[1]);
+    let (ones, twos_b) = csa(ones, t[2], t[3]);
+    let (twos, fours_a) = csa(twos, twos_a, twos_b);
+    let (ones, twos_a) = csa(ones, t[4], t[5]);
+    let (ones, twos_b) = csa(ones, t[6], t[7]);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_a) = csa(fours, fours_a, fours_b);
+    let (ones, twos_a) = csa(ones, t[8], t[9]);
+    let (ones, twos_b) = csa(ones, t[10], t[11]);
+    let (twos, fours_a) = csa(twos, twos_a, twos_b);
+    let (ones, twos_a) = csa(ones, t[12], t[13]);
+    let (ones, twos_b) = csa(ones, t[14], t[15]);
+    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+    let (fours, eights_b) = csa(fours, fours_a, fours_b);
+    let (eights, sixteens) = csa(eights, eights_a, eights_b);
+    *acc = [ones, twos, fours, eights];
+    sixteens
 }
 
 fn lanes_mask(lanes: usize) -> u64 {
@@ -293,10 +297,10 @@ fn lanes_mask(lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::SeqSim;
+    use crate::oracle::ScalarSeqSim;
     use fbt_netlist::rng::Rng;
-    use fbt_netlist::s27;
     use fbt_netlist::synth::{self, CircuitSpec};
+    use fbt_netlist::{s27, GateKind, NetlistBuilder};
 
     fn random_bits(n: usize, rng: &mut Rng) -> Bits {
         (0..n).map(|_| rng.bit()).collect()
@@ -338,8 +342,9 @@ mod tests {
 
                 let mut packed = LaneSeqSim::new(&net, lanes);
                 packed.broadcast_state(&start);
-                let mut scalars: Vec<SeqSim<'_>> =
-                    (0..lanes).map(|_| SeqSim::new(&net, &start)).collect();
+                let mut scalars: Vec<ScalarSeqSim<'_>> = (0..lanes)
+                    .map(|_| ScalarSeqSim::new(&net, &start))
+                    .collect();
 
                 for c in 0..cycles {
                     packed.step_with(|l| &pis[l][c], holds[c].as_ref());
@@ -388,8 +393,9 @@ mod tests {
                 let mut packed = LaneSeqSim::new(&net, lanes);
                 assert_eq!(packed.lanes(), lanes);
                 packed.broadcast_state(&start);
-                let mut scalars: Vec<SeqSim<'_>> =
-                    (0..lanes).map(|_| SeqSim::new(&net, &start)).collect();
+                let mut scalars: Vec<ScalarSeqSim<'_>> = (0..lanes)
+                    .map(|_| ScalarSeqSim::new(&net, &start))
+                    .collect();
                 for c in 0..6 {
                     let pis: Vec<Bits> = (0..lanes)
                         .map(|_| random_bits(net.num_inputs(), &mut rng))
@@ -449,5 +455,110 @@ mod tests {
         let swa = sim.swa().unwrap();
         assert_eq!(swa[0], 0.0, "identical cycle has zero activity");
         assert!(swa[1] > 0.0);
+    }
+
+    /// A net of exactly `n` nodes. With `all_toggle`: one input `a`, a
+    /// flip-flop `q` fed by its own inverse and a NOT chain from `a`, so an
+    /// alternating input toggles every node every cycle (`n >= 3`).
+    /// Otherwise: four inputs, two flip-flops and random gates over earlier
+    /// signals (`n >= 8`).
+    fn sized_net(n: usize, all_toggle: bool, rng: &mut Rng) -> Netlist {
+        let mut b = NetlistBuilder::new(format!("sized{n}"));
+        if all_toggle {
+            b.input("a").unwrap();
+            b.dff("q", "nq").unwrap();
+            b.gate(GateKind::Not, "nq", &["q"]).unwrap();
+            let mut prev = "a".to_string();
+            for i in 3..n {
+                let g = format!("g{i}");
+                b.gate(GateKind::Not, &g, &[&prev]).unwrap();
+                prev = g;
+            }
+            b.output(&prev).unwrap();
+        } else {
+            let gates = n - 6;
+            let mut names: Vec<String> = (0..4).map(|i| format!("i{i}")).collect();
+            for name in &names {
+                b.input(name).unwrap();
+            }
+            for i in 0..2 {
+                let q = format!("q{i}");
+                b.dff(&q, &format!("g{}", gates - 1 - i)).unwrap();
+                names.push(q);
+            }
+            let kinds = [
+                GateKind::And,
+                GateKind::Nand,
+                GateKind::Or,
+                GateKind::Nor,
+                GateKind::Xor,
+                GateKind::Not,
+            ];
+            for i in 0..gates {
+                let g = format!("g{i}");
+                let kind = kinds[rng.below(kinds.len())];
+                let x = names[rng.below(names.len())].clone();
+                let y = names[rng.below(names.len())].clone();
+                let fanins: &[&str] = if kind == GateKind::Not {
+                    &[&x]
+                } else {
+                    &[&x, &y]
+                };
+                b.gate(kind, &g, fanins).unwrap();
+                names.push(g);
+            }
+            b.output(names.last().unwrap()).unwrap();
+        }
+        let net = b.finish().unwrap();
+        assert_eq!(net.num_nodes(), n);
+        net
+    }
+
+    #[test]
+    fn swa_equals_naive_popcount_at_block_and_power_of_two_edges() {
+        // Node counts just below, at and above a 16-word Harley–Seal block
+        // and a power of two (where the counters gain a bit), at 1, 8 and 64
+        // lanes; on the chain nets every cycle after the first toggles every
+        // node.
+        let mut rng = Rng::new(0x4A_5EA1);
+        for n in [
+            15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025,
+        ] {
+            for all_toggle in [false, true] {
+                let net = sized_net(n, all_toggle, &mut rng);
+                for lanes in [1usize, 8, 64] {
+                    let mut sim = LaneSeqSim::new(&net, lanes);
+                    sim.broadcast_state(&random_bits(net.num_dffs(), &mut rng));
+                    let mut last: Option<Vec<u64>> = None;
+                    for c in 0..6 {
+                        let pis: Vec<Bits> = (0..lanes)
+                            .map(|_| match all_toggle {
+                                true => Bits::from_bools(&[c % 2 == 1]),
+                                false => random_bits(net.num_inputs(), &mut rng),
+                            })
+                            .collect();
+                        sim.step(&pis, None);
+                        // After a step, `prev_vals` holds this cycle's values.
+                        let cur = sim.prev_vals.clone();
+                        if let Some(prev) = &last {
+                            let swa = sim.swa().expect("defined after the first cycle");
+                            for (l, &s) in swa.iter().enumerate() {
+                                let toggles = prev
+                                    .iter()
+                                    .zip(&cur)
+                                    .filter(|&(p, v)| ((p ^ v) >> l) & 1 == 1)
+                                    .count();
+                                let at = format!("n={n} lanes={lanes} cycle={c} lane={l}");
+                                assert_eq!(s, toggles as f64 / n as f64, "{at}");
+                                if all_toggle {
+                                    assert_eq!(toggles, n, "{at}: every node toggles");
+                                }
+                            }
+                        }
+                        last = Some(cur);
+                    }
+                }
+            }
+        }
     }
 }

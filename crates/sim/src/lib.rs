@@ -4,22 +4,23 @@
 //!
 //! Three simulation flavours, each matched to a consumer in the workspace:
 //!
-//! * **Scalar two-valued** ([`comb::eval_scalar`], [`seq::SeqSim`]) — one
-//!   pattern at a time, used by the sequential trajectory simulation that
-//!   drives built-in test generation (Chapter 4 of the paper) and by the
-//!   switching-activity monitor ([`activity`]).
+//! * **Sequential two-valued** ([`lanes::LaneSeqSim`], [`seq::SeqSim`]) —
+//!   cycle-by-cycle functional simulation with switching activity, the
+//!   engine of built-in test generation (Chapter 4 of the paper) and of the
+//!   switching-activity monitor ([`activity`]). `LaneSeqSim` clocks up to
+//!   64 independent trajectories per pass; `SeqSim` is its one-lane view.
 //! * **Bit-parallel two-valued** ([`comb::eval_packed`]) — 64 patterns per
-//!   machine word, the throughput kernel behind broadside fault simulation;
-//!   [`lanes::LaneSeqSim`] lifts it to sequential trajectories, evaluating
-//!   up to 64 speculative candidates per levelized pass.
+//!   machine word, the throughput kernel behind broadside fault simulation.
 //! * **Scalar three-valued** ([`tv`]) — 0/1/X simulation used for primary
 //!   input cube computation, necessary assignments and case analysis.
 //!
 //! The hot paths of all three flavours are served by [`kernel`]: a cached,
-//! per-circuit compiled bytecode program (fused superinstructions, fault-site
-//! patch slots, dual-rail three-valued evaluation) that is pinned bit-identical
-//! to the interpreters above by differential suites. The interpreters remain
-//! the oracles.
+//! per-circuit compiled bytecode program (fused superinstructions scheduled
+//! into single-opcode runs, fault-site patch slots, dual-rail three-valued
+//! evaluation) that is pinned bit-identical to the gate-walking
+//! interpreters ([`comb::eval_scalar`], [`comb::eval_packed`],
+//! [`tv::eval_tv`]) by differential suites. The interpreters remain the
+//! oracles.
 //!
 //! [`Bits`] is the packed bitvector used for states, input vectors and
 //! responses throughout the workspace.
@@ -27,7 +28,6 @@
 pub mod activity;
 mod bits;
 pub mod comb;
-pub mod event;
 pub mod kernel;
 pub mod lanes;
 pub mod reset;
@@ -36,3 +36,11 @@ pub mod tv;
 
 pub use bits::Bits;
 pub use tv::Trit;
+
+// The scalar sequential oracle is shared with the integration tests, which
+// name this crate `fbt_sim`; the alias lets the same file compile here.
+#[cfg(test)]
+extern crate self as fbt_sim;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod oracle;

@@ -2,16 +2,19 @@
 
 use fbt_netlist::Netlist;
 
-use crate::comb;
+use crate::lanes::{extract_lane, LaneSeqSim};
 use crate::Bits;
 
-/// A scalar sequential simulator holding the circuit's current state and the
-/// full value vector of the previous cycle (for switching-activity
+/// A sequential simulator for one trajectory: the circuit's current state
+/// plus the previous cycle's node values (for switching-activity
 /// measurement).
 ///
 /// Functional operation per the paper's Section 4.3: at each clock cycle the
 /// primary-input vector `p(i)` is applied while the circuit is in state
 /// `s(i)`; the flip-flops then capture the next state `s(i+1)`.
+///
+/// This is the one-lane view of [`LaneSeqSim`], so it runs on the circuit's
+/// compiled kernel and reports bit-identical switching activity.
 ///
 /// # Example
 ///
@@ -26,10 +29,8 @@ use crate::Bits;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeqSim<'a> {
-    net: &'a Netlist,
+    lanes: LaneSeqSim<'a>,
     state: Bits,
-    vals: Vec<bool>,
-    prev_vals: Option<Vec<bool>>,
 }
 
 /// The observable results of one clock cycle.
@@ -52,12 +53,11 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics if `initial_state.len() != net.num_dffs()`.
     pub fn new(net: &'a Netlist, initial_state: &Bits) -> Self {
-        assert_eq!(initial_state.len(), net.num_dffs(), "state width mismatch");
+        let mut lanes = LaneSeqSim::new(net, 1);
+        lanes.broadcast_state(initial_state);
         SeqSim {
-            net,
+            lanes,
             state: initial_state.clone(),
-            vals: vec![false; net.num_nodes()],
-            prev_vals: None,
         }
     }
 
@@ -72,16 +72,12 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics if the width does not match.
     pub fn set_state(&mut self, state: &Bits) {
-        assert_eq!(state.len(), self.net.num_dffs(), "state width mismatch");
+        self.lanes.broadcast_state(state);
         self.state = state.clone();
-        self.prev_vals = None;
     }
 
-    /// Hold the listed flip-flops (by position in `net.dffs()` order) during
-    /// the *next* [`SeqSim::step_holding`] call: they keep their present value
-    /// instead of capturing. Implemented by the caller passing the mask.
-    ///
-    /// Apply one functional clock cycle with input vector `pi`.
+    /// Apply one functional clock cycle with input vector `pi`; every
+    /// flip-flop captures (see [`SeqSim::step_holding`] to hold some).
     ///
     /// # Panics
     ///
@@ -98,45 +94,12 @@ impl<'a> SeqSim<'a> {
     ///
     /// Panics on width mismatches.
     pub fn step_holding(&mut self, pi: &Bits, hold: Option<&Bits>) -> StepResult {
-        let net = self.net;
-        assert_eq!(pi.len(), net.num_inputs(), "PI width mismatch");
-        if let Some(h) = hold {
-            assert_eq!(h.len(), net.num_dffs(), "hold mask width mismatch");
-        }
-        for (i, &id) in net.inputs().iter().enumerate() {
-            self.vals[id.index()] = pi.get(i);
-        }
-        for (i, &id) in net.dffs().iter().enumerate() {
-            self.vals[id.index()] = self.state.get(i);
-        }
-        comb::eval_scalar(net, &mut self.vals);
-
-        let switching_activity = self.prev_vals.as_ref().map(|prev| {
-            let toggles = prev.iter().zip(&self.vals).filter(|(a, b)| a != b).count();
-            toggles as f64 / net.num_nodes() as f64
-        });
-
-        let mut next_state = Bits::zeros(net.num_dffs());
-        for (i, &id) in net.dffs().iter().enumerate() {
-            let captured = if hold.is_some_and(|h| h.get(i)) {
-                self.state.get(i)
-            } else {
-                self.vals[net.node(id).fanins()[0].index()]
-            };
-            next_state.set(i, captured);
-        }
-        let outputs: Bits = net
-            .outputs()
-            .iter()
-            .map(|&o| self.vals[o.index()])
-            .collect();
-
-        self.prev_vals = Some(self.vals.clone());
-        self.state = next_state.clone();
+        self.lanes.step_with(|_| pi, hold);
+        self.state = self.lanes.lane_state(0);
         StepResult {
-            next_state,
-            outputs,
-            switching_activity,
+            next_state: self.state.clone(),
+            outputs: extract_lane(self.lanes.output_words(), 0),
+            switching_activity: self.lanes.swa().map(|swa| swa[0]),
         }
     }
 }
@@ -191,7 +154,14 @@ pub fn simulate_sequence(net: &Netlist, initial_state: &Bits, pis: &[Bits]) -> T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ScalarSeqSim;
+    use fbt_netlist::rng::Rng;
     use fbt_netlist::s27;
+    use fbt_netlist::synth::{self, CircuitSpec};
+
+    fn random_bits(n: usize, rng: &mut Rng) -> Bits {
+        (0..n).map(|_| rng.bit()).collect()
+    }
 
     #[test]
     fn s27_next_state_from_zero() {
@@ -269,5 +239,64 @@ mod tests {
         sim.set_state(&Bits::from_str01("111"));
         let r = sim.step(&Bits::from_str01("0000"));
         assert!(r.switching_activity.is_none());
+    }
+
+    #[test]
+    fn seqsim_matches_the_scalar_oracle_with_holds_and_state_loads() {
+        // Every step result — next state, outputs and the exact SWA `f64` —
+        // must equal the interpreter oracle's, through hold masks and
+        // mid-sequence state loads (which reset the SWA history).
+        let mut rng = Rng::new(0x5E0_51A);
+        let mut nets = vec![s27()];
+        for _ in 0..4 {
+            let pi = 2 + rng.below(6);
+            let po = 1 + rng.below(4);
+            let ff = 1 + rng.below(10);
+            let mut spec = CircuitSpec::new("seq", pi, po, ff, 20 + rng.below(150));
+            spec.seed = rng.next_u64();
+            nets.push(synth::generate(&spec));
+        }
+        for net in &nets {
+            let start = random_bits(net.num_dffs(), &mut rng);
+            let mut sim = SeqSim::new(net, &start);
+            let mut oracle = ScalarSeqSim::new(net, &start);
+            for c in 0..40 {
+                if c % 13 == 7 {
+                    let load = random_bits(net.num_dffs(), &mut rng);
+                    sim.set_state(&load);
+                    oracle.set_state(&load);
+                }
+                let pi = random_bits(net.num_inputs(), &mut rng);
+                let hold = (c % 3 == 1).then(|| random_bits(net.num_dffs(), &mut rng));
+                let got = sim.step_holding(&pi, hold.as_ref());
+                let want = oracle.step_holding(&pi, hold.as_ref());
+                assert_eq!(got, want, "{} cycle {c}", net.name());
+                assert_eq!(
+                    got.switching_activity.is_none(),
+                    c == 0 || c % 13 == 7,
+                    "{} cycle {c}: SWA defined except after a state load",
+                    net.name()
+                );
+                assert_eq!(sim.state(), oracle.state());
+            }
+        }
+    }
+
+    #[test]
+    fn simulate_sequence_matches_the_scalar_oracle() {
+        let net = synth::generate(&synth::find("s298").unwrap());
+        let mut rng = Rng::new(0x7EA);
+        let start = random_bits(net.num_dffs(), &mut rng);
+        let pis: Vec<Bits> = (0..50)
+            .map(|_| random_bits(net.num_inputs(), &mut rng))
+            .collect();
+        let t = simulate_sequence(&net, &start, &pis);
+        let mut oracle = ScalarSeqSim::new(&net, &start);
+        for (c, pi) in pis.iter().enumerate() {
+            let want = oracle.step_holding(pi, None);
+            assert_eq!(t.states[c + 1], want.next_state, "cycle {c}");
+            assert_eq!(t.outputs[c], want.outputs, "cycle {c}");
+            assert_eq!(t.swa[c], want.switching_activity, "cycle {c}");
+        }
     }
 }

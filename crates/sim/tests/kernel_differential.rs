@@ -1,15 +1,18 @@
 //! Differential suite pinning the compiled kernels to the gate-walking
-//! interpreters, bit for bit, on the ISCAS catalog circuits and on random
-//! netlists: packed two-valued values, three-valued (X-propagating)
-//! values, and the per-lane switching activity of the multi-lane
-//! sequential simulator.
+//! interpreters, bit for bit, on the ISCAS catalog circuits (s35932 and
+//! s38584 also at full size) and on random netlists: packed two-valued
+//! values, three-valued (X-propagating) values, and the per-lane switching
+//! activity of the multi-lane sequential simulator against the scalar
+//! oracle.
 
+mod common;
+
+use common::ScalarSeqSim;
 use fbt_netlist::rng::Rng;
 use fbt_netlist::synth::{self, CircuitSpec};
 use fbt_netlist::{s27, Netlist};
 use fbt_sim::kernel::{self, Kernel};
 use fbt_sim::lanes::{extract_lane, LaneSeqSim};
-use fbt_sim::seq::SeqSim;
 use fbt_sim::{comb, tv, Bits, Trit};
 
 /// All small ISCAS catalog circuits plus s27 — every circuit the CI kernel
@@ -18,6 +21,15 @@ fn iscas_nets() -> Vec<Netlist> {
     let mut nets = vec![s27()];
     nets.extend(synth::iscas_small().iter().map(synth::generate));
     nets
+}
+
+/// The Chapter-4 benchmark circuits at full size (the benchmark runs them
+/// scaled down).
+fn full_size_nets() -> Vec<Netlist> {
+    ["s35932", "s38584"]
+        .iter()
+        .map(|name| synth::generate(&synth::find(name).expect("catalog circuit")))
+        .collect()
 }
 
 fn random_nets(n: usize, seed: u64) -> Vec<Netlist> {
@@ -42,7 +54,8 @@ fn random_bits(n: usize, rng: &mut Rng) -> Bits {
 #[test]
 fn compiled_values_match_interpreter_on_iscas_and_random_nets() {
     let mut rng = Rng::new(0xD1FF);
-    for net in iscas_nets().into_iter().chain(random_nets(5, 0xD1FF)) {
+    let nets = iscas_nets().into_iter().chain(full_size_nets());
+    for net in nets.chain(random_nets(5, 0xD1FF)) {
         let kernel = Kernel::for_netlist(&net);
         for round in 0..4 {
             let mut reference = vec![0u64; net.num_nodes()];
@@ -102,7 +115,8 @@ fn compiled_three_valued_matches_interpreter_with_x_sources() {
 #[test]
 fn lane_sim_on_kernel_matches_scalar_seqsim_values_and_swa() {
     let mut rng = Rng::new(0x5E);
-    for net in iscas_nets().into_iter().take(6).chain(random_nets(2, 9)) {
+    let nets = iscas_nets().into_iter().take(6).chain(full_size_nets());
+    for net in nets.chain(random_nets(2, 9)) {
         let lanes = 64.min(5 + rng.below(60));
         let cycles = 10;
         let start = random_bits(net.num_dffs(), &mut rng);
@@ -116,7 +130,9 @@ fn lane_sim_on_kernel_matches_scalar_seqsim_values_and_swa() {
 
         let mut packed = LaneSeqSim::new(&net, lanes);
         packed.broadcast_state(&start);
-        let mut scalars: Vec<SeqSim<'_>> = (0..lanes).map(|_| SeqSim::new(&net, &start)).collect();
+        let mut scalars: Vec<ScalarSeqSim<'_>> = (0..lanes)
+            .map(|_| ScalarSeqSim::new(&net, &start))
+            .collect();
         #[allow(clippy::needless_range_loop)] // `c` indexes lane-major `pis`
         for c in 0..cycles {
             packed.step_with(|l| &pis[l][c], None);

@@ -244,9 +244,13 @@ echo "== compiled kernels (18-circuit builds + compiled-vs-interpreter golden) =
 # circuit the lint golden step covers and (b) be bit-identical to the
 # gate-walking interpreter on values, detections, per-lane SWA and every
 # outcome field — including the s27 grouped fixture at batch {1, 4, 16}.
-# The interpreter stays the oracle; these suites are the pin.
+# The interpreter stays the oracle; these suites are the pin. The kprof
+# probe then steps full-size s35932 on 8 lanes and asserts every lane's
+# SWA against a naive popcount (a correctness smoke: its timings are
+# printed, never gated).
 cargo test --release -q -p fbt-sim --test kernel_differential
 cargo test --release -q -p fbt-fault --test compiled_kernel
+cargo run --release -q -p fbt-sim --example kprof
 
 echo "== golden Chapter-4 outcomes (bit-identity vs committed fixtures) =="
 # The three generation modes must reproduce the committed pre-engine
