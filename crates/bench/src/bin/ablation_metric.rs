@@ -7,7 +7,7 @@ use fbt_bench::{pct, Scale, Table};
 use fbt_core::driver::{functional_sequences, DrivingBlock};
 use fbt_core::stp::StpLibrary;
 use fbt_core::{
-    estimate_overtesting, generate_constrained, generate_constrained_with_library, DeviationMetric,
+    estimate_overtesting, generate_constrained, generate_constrained_with_library,
     FunctionalBistConfig,
 };
 use fbt_sim::Bits;
@@ -56,12 +56,8 @@ fn main() {
             pct(swa_residue.non_functional_fraction() * 100.0),
         ]);
 
-        let stp_cfg = FunctionalBistConfig {
-            metric: DeviationMetric::SignalTransitionPatterns,
-            ..cfg.clone()
-        };
-        let stp_out = generate_constrained_with_library(&net, bound, &lib, &stp_cfg);
-        let stp_residue = estimate_overtesting(&net, &stp_out, &stp_cfg, &lib);
+        let stp_out = generate_constrained_with_library(&net, bound, &lib, &cfg);
+        let stp_residue = estimate_overtesting(&net, &stp_out, &cfg, &lib);
         t.row(vec![
             net.name().to_string(),
             format!("STP ({} patterns)", lib.len()),

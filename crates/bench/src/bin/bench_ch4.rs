@@ -1,13 +1,11 @@
 //! `bench_ch4` — wall-clock benchmark of the Chapter-4 seed search: the
-//! serial loop (`batch = 1, threads = 1`) against deterministic speculative
-//! batching (`batch = 8`, one worker per core) in its two forms — the
-//! legacy per-candidate passes (`spec8`, kept for one release so stored
-//! numbers stay comparable) and the candidate-packed grouped calls
-//! (`packed8`, the default). All modes produce bit-identical outcomes
-//! (asserted here); the benchmark measures the wall-clock and
-//! wasted-evaluation trade. All methods run through the unified
-//! policy-driven `GenerationEngine` (the `engine` field of the JSON summary
-//! records this).
+//! serial loop (`serial`: `batch = 1, threads = 1`) against deterministic
+//! speculative batching (`packed8`: `batch = 8`, fault simulation on every
+//! core). Both run the same candidate-packed round and produce
+//! bit-identical outcomes (asserted here); the benchmark measures the
+//! wall-clock and wasted-evaluation trade. All methods run through the
+//! unified policy-driven `GenerationEngine` (the `engine` field of the JSON
+//! summary records this).
 //!
 //! Usage: `bench_ch4 [scale] [circuit]` — the optional second argument (or
 //! `BENCH_CH4_CIRCUIT`) restricts the run to one catalog circuit, e.g.
@@ -60,20 +58,9 @@ impl Entry {
     }
 }
 
-fn modes() -> [(&'static str, SearchOptions); 3] {
+fn modes() -> [(&'static str, SearchOptions); 2] {
     [
         ("serial", SearchOptions::serial()),
-        // The pre-grouped speculative search (per-candidate PPSFP passes),
-        // kept as a measured mode so stored benchmark JSON stays comparable
-        // across releases.
-        (
-            "spec8",
-            SearchOptions {
-                batch: 8,
-                threads: 0,
-                packed: false,
-            },
-        ),
         ("packed8", SearchOptions::speculative(8)),
     ]
 }

@@ -2,21 +2,6 @@
 
 use crate::search::SearchOptions;
 
-/// The metric used to decide whether a state-transition deviates too far from
-/// functional operation (paper §4.4 vs. the §5.1 future-work alternative).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviationMetric {
-    /// Bound the per-cycle switching activity by `SWAfunc` (the paper's
-    /// method).
-    #[default]
-    SwitchingActivity,
-    /// Require each state-transition's *pattern of signal-transitions* to be
-    /// a subset of one observed during functional operation (\[90\]); implies
-    /// the switching-activity bound and additionally forbids non-functional
-    /// signal transitions.
-    SignalTransitionPatterns,
-}
-
 /// All tunables of the generation flow.
 ///
 /// The paper's experiment parameters (§4.6) are available as
@@ -68,8 +53,6 @@ pub struct FunctionalBistConfig {
     /// and coverage figures are *not* comparable with the default run.
     /// Defaults to `false`; golden fixtures are pinned with it off.
     pub fix_preflight: bool,
-    /// Deviation metric for constrained generation.
-    pub metric: DeviationMetric,
     /// Speculative seed-search tunables (batch size, worker threads). Any
     /// setting produces bit-identical outcomes; this only trades wasted
     /// speculative evaluations for wall-clock time.
@@ -95,7 +78,6 @@ impl FunctionalBistConfig {
             master_seed: 0x0FB7_2011,
             lint_preflight: true,
             fix_preflight: false,
-            metric: DeviationMetric::SwitchingActivity,
             search: SearchOptions::default(),
         }
     }

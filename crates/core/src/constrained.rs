@@ -27,7 +27,7 @@ use crate::outcome::{deref_summary, OutcomeSummary};
 use crate::policy::{AdmissibilityPolicy, SwaRule};
 use crate::progress::Progress;
 use crate::stp::StpLibrary;
-use crate::{DeviationMetric, FunctionalBistConfig};
+use crate::FunctionalBistConfig;
 
 pub use crate::outcome::{MultiSegmentSequence, Segment};
 
@@ -136,9 +136,9 @@ impl ConstrainedOutcome {
 /// assert!(out.fault_coverage() > 0.0);
 /// ```
 ///
-/// When `cfg.metric` is [`DeviationMetric::SignalTransitionPatterns`], an
-/// [`StpLibrary`] must be supplied via [`generate_constrained_with_library`];
-/// this entry point always uses the switching-activity rule.
+/// This entry point always uses the switching-activity rule; the §5.1
+/// signal-transition-pattern rule runs through
+/// [`generate_constrained_with_library`].
 ///
 /// # Panics
 ///
@@ -225,23 +225,18 @@ pub fn generate_constrained_from(
 /// Run the constrained method with the signal-transition-pattern rule of
 /// §5.1 (\[90\]): a state-transition is admissible only if its pattern of
 /// signal-transitions is a subset of one observed during functional
-/// operation.
+/// operation. `swafunc` is recorded in the outcome; the library alone
+/// decides admissibility.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.metric` is not
-/// [`DeviationMetric::SignalTransitionPatterns`].
+/// Panics on invalid configurations.
 pub fn generate_constrained_with_library(
     net: &Netlist,
     swafunc: f64,
     library: &StpLibrary,
     cfg: &FunctionalBistConfig,
 ) -> ConstrainedOutcome {
-    assert_eq!(
-        cfg.metric,
-        DeviationMetric::SignalTransitionPatterns,
-        "library-based generation requires the STP metric"
-    );
     let zero = Bits::zeros(net.num_dffs());
     run(
         net,
@@ -516,11 +511,7 @@ mod tests {
         let reference = generate_constrained(&net, bound, &serial_cfg);
         for (batch, threads) in [(2, 1), (4, 2), (16, 8)] {
             let cfg = FunctionalBistConfig {
-                search: SearchOptions {
-                    batch,
-                    threads,
-                    packed: true,
-                },
+                search: SearchOptions { batch, threads },
                 ..FunctionalBistConfig::smoke()
             };
             let out = generate_constrained(&net, bound, &cfg);

@@ -28,7 +28,8 @@ use std::time::Instant;
 use fbt_bist::{cube, Tpg, TpgSpec, Weight, WeightedTpg};
 use fbt_fault::{all_transition_faults, collapse, TransitionFault};
 use fbt_fault::{
-    BroadsideTest, FaultSimEngine, FaultSimOptions, TestGroup, TestSet, TwoPatternTest,
+    BroadsideTest, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestGroup, TestSet,
+    TwoPatternTest,
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::Netlist;
@@ -38,17 +39,17 @@ use fbt_sim::Bits;
 
 use crate::extract::{functional_tests, held_tests};
 use crate::outcome::{MultiSegmentSequence, Segment};
-use crate::policy::AdmissibilityPolicy;
+use crate::policy::{prefix_before, AdmissibilityPolicy};
 use crate::progress::Progress;
-use crate::search::{BatchEvaluator, SeedQueue};
+use crate::search::SeedQueue;
 use crate::stats::GenerationStats;
 use crate::FunctionalBistConfig;
 
 /// How a drawn seed becomes a primary-input sequence.
 ///
 /// Implementations must be pure: the engine evaluates candidates
-/// speculatively across worker threads, so `expand` must yield the same
-/// sequence for the same seed on every call.
+/// speculatively and re-evaluates requeued seeds, so `expand` must yield
+/// the same sequence for the same seed on every call.
 pub trait SeedSource: Sync {
     /// Expand `seed` into a primary-input sequence of `len` cycles.
     fn expand(&self, seed: u64, len: usize) -> Vec<Bits>;
@@ -129,7 +130,7 @@ pub enum StateOverlay {
 impl StateOverlay {
     /// The hold mask in force at clock cycle `c`, if any — the single
     /// definition of the §4.5 hold schedule, shared by
-    /// [`StateOverlay::simulate`] and the multi-lane candidate-packed path.
+    /// [`StateOverlay::simulate`] and the engine's multi-lane rounds.
     pub fn hold_mask_at(&self, c: usize) -> Option<&Bits> {
         match self {
             StateOverlay::Identity => None,
@@ -346,8 +347,9 @@ struct Candidate {
 }
 
 /// The unified seed-search engine: owns the collapsed fault list, its lint
-/// preflight projection and the speculative batch evaluator, and runs the
-/// Fig. 4.9 construction loop under any policy combination.
+/// preflight projection and the fault simulator every round and compaction
+/// pass shares, and runs the Fig. 4.9 construction loop under any policy
+/// combination.
 #[derive(Debug)]
 pub struct GenerationEngine<'n> {
     net: &'n Netlist,
@@ -355,9 +357,11 @@ pub struct GenerationEngine<'n> {
     faults: Vec<TransitionFault>,
     active_faults: Vec<TransitionFault>,
     active_idx: Vec<usize>,
-    evaluator: BatchEvaluator<'n>,
+    /// One engine for the whole search, so its fanout-cone caches amortize
+    /// over every round and the compaction pass.
+    fsim: PackedParallelSim<'n>,
     /// Compiled-kernel cache activity attributable to this engine's
-    /// construction (global-counter delta around the evaluator build).
+    /// construction (global-counter delta around the simulator build).
     kernel_stats: fbt_sim::kernel::CacheStats,
     /// Observation/cancellation handle for `construct` runs. The default
     /// handle is never cancelled and nobody observes it, so attaching one
@@ -393,7 +397,7 @@ impl<'n> GenerationEngine<'n> {
         let (active_faults, active_idx) =
             crate::preflight::project_active(net, &faults, lint_preflight);
         let kernel_before = fbt_sim::kernel::cache_stats();
-        let evaluator = BatchEvaluator::new(net, &cfg.search);
+        let fsim = PackedParallelSim::new(net);
         let kernel_stats = fbt_sim::kernel::cache_stats().since(&kernel_before);
         GenerationEngine {
             net,
@@ -401,7 +405,7 @@ impl<'n> GenerationEngine<'n> {
             faults,
             active_faults,
             active_idx,
-            evaluator,
+            fsim,
             kernel_stats,
             progress: Progress::default(),
         }
@@ -478,10 +482,9 @@ impl<'n> GenerationEngine<'n> {
         let net = self.net;
         let cfg = self.cfg;
         let progress = self.progress.clone();
-        let evaluator = &mut self.evaluator;
+        let fsim = &mut self.fsim;
         let active_faults = &self.active_faults;
         let active_idx = &self.active_idx;
-        let inner = evaluator.inner_threads();
         let mut queue = SeedQueue::new();
         let mut stats = GenerationStats {
             faults_skipped_lint: self.faults.len() - active_faults.len(),
@@ -490,12 +493,6 @@ impl<'n> GenerationEngine<'n> {
             kernel_build_wall: self.kernel_stats.build_wall,
             ..GenerationStats::default()
         };
-
-        // The candidate-packed fast path needs the policy to derive each
-        // lane's prefix from its switching-activity trace; policies that
-        // probe per-cycle node values (e.g. signal-transition patterns)
-        // keep the legacy per-candidate passes.
-        let use_packed = cfg.search.packed && policy.admissible_prefix_from_trace(&[], 0).is_some();
 
         let mut sequences: Vec<MultiSegmentSequence> = Vec::new();
         let mut kept: Vec<KeptSegment> = Vec::new();
@@ -524,82 +521,28 @@ impl<'n> GenerationEngine<'n> {
                 }
                 progress.publish(&stats);
                 let batch = queue.draw(rng, cfg.search.batch);
-                let snapshot: &[bool] = detected;
-                let start = &cur_state;
-                let evals = if use_packed {
-                    packed_round(
-                        net,
-                        cfg,
-                        source,
-                        policy,
-                        overlay,
-                        &batch,
-                        start,
-                        snapshot,
-                        active_faults,
-                        active_idx,
-                        evaluator,
-                    )
-                } else {
-                    evaluator.run(&batch, |engine, seed| {
-                        let pis = source.expand(seed, cfg.seq_len);
-                        let len = policy.admissible_prefix(net, start, &pis, overlay);
-                        if len < 2 {
-                            return Candidate {
-                                len,
-                                tests: overlay.empty_tests(),
-                                newly: Vec::new(),
-                                peak_swa: 0.0,
-                                next_state: None,
-                                cycles: policy.probe_cycles(cfg.seq_len),
-                            };
-                        }
-                        let prefix = &pis[..len];
-                        let (states, swa) = overlay.simulate(net, start, prefix);
-                        let tests = overlay.extract_tests(prefix, &states);
-                        // Simulate only the lint-surviving faults; report newly
-                        // detected ones as indices into the full list.
-                        let mut local: Vec<bool> =
-                            active_idx.iter().map(|&i| snapshot[i]).collect();
-                        let newly = engine
-                            .simulate(
-                                tests.as_set(),
-                                active_faults,
-                                &mut local,
-                                &FaultSimOptions::new().threads(inner),
-                            )
-                            .newly_detected;
-                        let newly = if newly > 0 {
-                            (0..local.len())
-                                .filter(|&j| local[j] && !snapshot[active_idx[j]])
-                                .map(|j| active_idx[j])
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        Candidate {
-                            len,
-                            tests,
-                            newly,
-                            peak_swa: swa.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
-                            next_state: Some(states[len].clone()),
-                            cycles: policy.probe_cycles(cfg.seq_len) + len,
-                        }
-                    })
-                };
+                let evals = packed_round(
+                    net,
+                    cfg,
+                    source,
+                    policy,
+                    overlay,
+                    &batch,
+                    &cur_state,
+                    detected,
+                    active_faults,
+                    active_idx,
+                    fsim,
+                );
                 stats.evals += evals.len();
                 for ev in &evals {
                     stats.sim_cycles += ev.cycles;
                 }
-                // One group per fault-simulated candidate; the packed path
-                // submits the whole round as a single engine invocation.
+                // One group per fault-simulated candidate, all submitted in
+                // a single engine invocation per round.
                 let n_groups = evals.iter().filter(|e| e.len >= 2).count();
                 stats.candidate_groups += n_groups;
-                stats.fsim_calls += if use_packed {
-                    usize::from(n_groups > 0)
-                } else {
-                    n_groups
-                };
+                stats.fsim_calls += usize::from(n_groups > 0);
                 for (k, cand) in evals.into_iter().enumerate() {
                     if seed_failures >= opts.r_limit || seeds_tried >= cfg.max_seeds {
                         queue.requeue(&batch[k..]);
@@ -683,7 +626,7 @@ impl<'n> GenerationEngine<'n> {
         let mut kept_indices: Vec<usize> = Vec::new();
         let mut tests_applied = 0usize;
         let mut peak_swa = 0.0f64;
-        let fsim = self.evaluator.engine();
+        let fsim = &mut self.fsim;
         for (i, seg) in kept.iter().enumerate().rev() {
             let newly = fsim
                 .simulate(
@@ -718,13 +661,18 @@ impl<'n> GenerationEngine<'n> {
     }
 }
 
-/// One candidate-packed speculative round.
+/// One candidate-packed speculative round — the search's only evaluation
+/// path, for every batch width and policy.
 ///
 /// **Stage A** expands every candidate seed and simulates all of them as
 /// lanes of one [`LaneSeqSim`] pass (chunks of 64 for larger batches): a
-/// single levelized evaluation per cycle serves the whole batch, and each
-/// lane's admissible prefix falls out of its switching-activity trace via
-/// [`AdmissibilityPolicy::admissible_prefix_from_trace`].
+/// single levelized evaluation per cycle serves the whole batch. After
+/// each cycle the policy may reject lanes from their node words
+/// ([`AdmissibilityPolicy::inadmissible_lanes`]); once every lane is
+/// rejected no later cycle can enter a prefix and the pass stops. Each
+/// lane's admissible prefix is the shorter of the one its first rejected
+/// cycle leaves and the one its switching-activity trace allows
+/// ([`AdmissibilityPolicy::admissible_prefix_from_trace`]).
 ///
 /// **Stage B** submits all admissible candidates as one grouped
 /// fault-simulation call: each candidate is an independent [`TestGroup`]
@@ -732,10 +680,6 @@ impl<'n> GenerationEngine<'n> {
 /// engine's 64 bit-lanes with lane-masked dropping. `until_first_accept`
 /// skips the words past the first accepting group — the commit loop
 /// discards those results anyway (their snapshots are stale).
-///
-/// Per-candidate results are identical to the legacy per-candidate passes:
-/// same prefix lengths, same tests, same newly-detected sets, bit-identical
-/// `peak_swa`, same logical cycle accounting.
 #[allow(clippy::too_many_arguments)]
 fn packed_round<S, P>(
     net: &Netlist,
@@ -748,7 +692,7 @@ fn packed_round<S, P>(
     snapshot: &[bool],
     active_faults: &[TransitionFault],
     active_idx: &[usize],
-    evaluator: &mut BatchEvaluator<'_>,
+    fsim: &mut PackedParallelSim<'_>,
 ) -> Vec<Candidate>
 where
     S: SeedSource + ?Sized,
@@ -768,6 +712,8 @@ where
         let sw = sim.state_words().len();
         let mut state_words: Vec<u64> = Vec::with_capacity(seq_len * sw);
         let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(seq_len); lanes];
+        let mut first_rejected: Vec<Option<usize>> = vec![None; lanes];
+        let mut live = u64::MAX >> (64 - lanes);
         // `c` indexes the inner (cycle) axis of `pis` inside the closure;
         // there is no outer slice to iterate.
         #[allow(clippy::needless_range_loop)]
@@ -786,11 +732,21 @@ where
                     }
                 }
             }
+            let mut rejected = policy.inadmissible_lanes(&sim, live) & live;
+            live &= !rejected;
+            while rejected != 0 {
+                first_rejected[rejected.trailing_zeros() as usize] = Some(c);
+                rejected &= rejected - 1;
+            }
+            if live == 0 {
+                break;
+            }
         }
         for (l, seed_pis) in pis.iter().enumerate() {
             let len = policy
                 .admissible_prefix_from_trace(&swa[l], seq_len)
-                .expect("packed path requires a trace-based policy");
+                .unwrap_or(seq_len & !1)
+                .min(prefix_before(first_rejected[l], seq_len));
             if len < 2 {
                 cands.push(Candidate {
                     len,
@@ -833,10 +789,10 @@ where
     if groups.is_empty() {
         return cands;
     }
-    // Project the snapshot to the lint-surviving faults, exactly like the
-    // legacy per-candidate passes.
+    // Simulate only the lint-surviving faults; report newly detected ones
+    // as indices into the full list.
     let base: Vec<bool> = active_idx.iter().map(|&i| snapshot[i]).collect();
-    let outs = evaluator.simulate_groups(
+    let outs = fsim.simulate_groups(
         &groups,
         active_faults,
         &base,

@@ -598,11 +598,7 @@ mod tests {
         let reference = improve_with_holding(&net, bound, &serial_cfg, &base);
         for (batch, threads) in [(4, 1), (16, 2)] {
             let spec_cfg = FunctionalBistConfig {
-                search: crate::SearchOptions {
-                    batch,
-                    threads,
-                    packed: true,
-                },
+                search: crate::SearchOptions { batch, threads },
                 ..cfg.clone()
             };
             let out = improve_with_holding(&net, bound, &spec_cfg, &base);

@@ -58,7 +58,7 @@ pub mod stp;
 pub mod unconstrained;
 
 pub use certify::{certify_state, certify_tests, CertificationReport, TestCertificate};
-pub use config::{DeviationMetric, FunctionalBistConfig};
+pub use config::FunctionalBistConfig;
 pub use constrained::{
     generate_constrained, generate_constrained_from, generate_constrained_watched,
     generate_constrained_with_library, ConstrainedOutcome,

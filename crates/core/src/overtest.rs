@@ -9,10 +9,11 @@
 //! pattern of signal-transitions is covered by the functional library.
 
 use fbt_netlist::Netlist;
-use fbt_sim::{comb, Bits};
+use fbt_sim::lanes::LaneSeqSim;
 
 use crate::constrained::ConstrainedOutcome;
 use crate::engine::{SeedSource, TpgSeedSource};
+use crate::policy::AdmissibilityPolicy;
 use crate::stp::StpLibrary;
 use crate::FunctionalBistConfig;
 
@@ -53,40 +54,21 @@ pub fn estimate_overtesting(
     let source = TpgSeedSource::for_circuit(net, cfg);
     let mut total = 0usize;
     let mut non_functional = 0usize;
-    let mut vals = vec![false; net.num_nodes()];
-    let mut prev = vec![false; net.num_nodes()];
+    let mut sim = LaneSeqSim::new(net, 1);
     for seq in &outcome.sequences {
         let mut state = seq.initial_state.clone();
         for seg in &seq.segments {
             let pis = source.expand(seg.seed, cfg.seq_len);
-            for (c, pi) in pis[..seg.len].iter().enumerate() {
-                for (i, &id) in net.inputs().iter().enumerate() {
-                    vals[id.index()] = pi.get(i);
-                }
-                for (i, &id) in net.dffs().iter().enumerate() {
-                    vals[id.index()] = state.get(i);
-                }
-                comb::eval_scalar(net, &mut vals);
-                if c > 0 {
+            // Each segment is a state load: its first cycle has no pattern.
+            sim.broadcast_state(&state);
+            for pi in &pis[..seg.len] {
+                sim.step(std::slice::from_ref(pi), None);
+                if !sim.prev_node_words().is_empty() {
                     total += 1;
-                    let pattern: Vec<(u32, bool)> = prev
-                        .iter()
-                        .zip(&vals)
-                        .enumerate()
-                        .filter(|(_, (a, b))| a != b)
-                        .map(|(i, (_, &b))| (i as u32, b))
-                        .collect();
-                    if !library.allows(&pattern) {
-                        non_functional += 1;
-                    }
+                    non_functional += library.inadmissible_lanes(&sim, 1) as usize;
                 }
-                state = net
-                    .dffs()
-                    .iter()
-                    .map(|&d| vals[net.node(d).fanins()[0].index()])
-                    .collect::<Bits>();
-                std::mem::swap(&mut prev, &mut vals);
             }
+            state = sim.lane_state(0);
         }
     }
     OvertestReport {
@@ -99,16 +81,13 @@ pub fn estimate_overtesting(
 mod tests {
     use super::*;
     use crate::driver::{functional_sequences, DrivingBlock};
-    use crate::{generate_constrained, generate_constrained_with_library, DeviationMetric};
+    use crate::{generate_constrained, generate_constrained_with_library};
     use fbt_netlist::s27;
 
     #[test]
     fn stp_generated_programs_have_zero_residue() {
         let net = s27();
-        let cfg = FunctionalBistConfig {
-            metric: DeviationMetric::SignalTransitionPatterns,
-            ..FunctionalBistConfig::smoke()
-        };
+        let cfg = FunctionalBistConfig::smoke();
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &fbt_sim::Bits::zeros(3), &seqs);
         let bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;

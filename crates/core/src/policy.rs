@@ -8,35 +8,29 @@
 //! method of \[73\] never truncates at all. All three are implementations of
 //! one trait, so the engine's seed-search loop is written once.
 //!
-//! Truncation geometry is shared by every bounded policy (and was previously
-//! duplicated between `constrained::SwaRule::admissible_prefix` and
-//! `holding::admissible_prefix_holding`): a violation at cycle `v` (the
-//! paper's `j+1`) leaves the usable prefix `p(0) … p(j-1)` of `v-1` cycles,
-//! rounded down to even so the segment ends at the final state of its last
-//! test; a clean trajectory keeps its full (even) length.
+//! A policy never simulates. The engine clocks a whole speculative round as
+//! the lanes of one [`LaneSeqSim`] and asks the policy about each lane in
+//! one of two ways: from the lane's finished switching-activity trace
+//! ([`AdmissibilityPolicy::admissible_prefix_from_trace`], enough for the
+//! `SWAfunc` bound), or cycle by cycle from the simulator's previous and
+//! current packed node words ([`AdmissibilityPolicy::inadmissible_lanes`],
+//! which signal-transition patterns need).
+//!
+//! Truncation geometry is shared by every bounded policy: a violation at
+//! cycle `v` (the paper's `j+1`) leaves the usable prefix `p(0) … p(j-1)`
+//! of `v-1` cycles, rounded down to even so the segment ends at the final
+//! state of its last test; a clean trajectory keeps its full (even) length.
 
-use fbt_netlist::Netlist;
-use fbt_sim::Bits;
-
-use crate::engine::StateOverlay;
+use fbt_sim::lanes::LaneSeqSim;
 
 /// The decision rule that truncates a candidate segment.
 ///
 /// Implementations must be pure functions of their inputs: the engine
-/// evaluates candidates speculatively across worker threads and commits
-/// results in draw order, so a non-deterministic policy would break the
-/// bit-identical-to-serial guarantee of [`crate::search`].
+/// evaluates candidates speculatively, re-evaluates requeued seeds against
+/// later snapshots and commits results in draw order, so a
+/// non-deterministic policy would break the bit-identical-to-serial
+/// guarantee of [`crate::search`].
 pub trait AdmissibilityPolicy: Sync {
-    /// The longest even prefix of `pis`, applied from `start` under
-    /// `overlay`, whose every measurable clock cycle is admissible.
-    fn admissible_prefix(
-        &self,
-        net: &Netlist,
-        start: &Bits,
-        pis: &[Bits],
-        overlay: &StateOverlay,
-    ) -> usize;
-
     /// Logic-simulated cycles charged for the admissibility probe of one
     /// full-length candidate (the engine adds the accepted prefix's replay
     /// on top). Policies that simulate the whole candidate charge `seq_len`;
@@ -46,38 +40,45 @@ pub trait AdmissibilityPolicy: Sync {
     }
 
     /// The admissible prefix as a pure function of a candidate's per-cycle
-    /// switching-activity trace (`total` cycles), or `None` if this policy
-    /// needs more than the trace (e.g. per-cycle node values) and must be
-    /// probed through [`AdmissibilityPolicy::admissible_prefix`].
-    ///
-    /// `Some` enables the candidate-packed fast path of
-    /// [`crate::engine::GenerationEngine::construct`]: the engine simulates
-    /// a whole speculative batch in one multi-lane pass and derives each
-    /// lane's prefix from its trace, so the value returned here must equal
-    /// `admissible_prefix` over the trajectory that produced `swa`.
+    /// switching-activity trace (`total` cycles), or `None` if the trace
+    /// does not bound it. The engine keeps the shorter of this prefix and
+    /// the one [`AdmissibilityPolicy::inadmissible_lanes`] leaves.
     fn admissible_prefix_from_trace(&self, swa: &[Option<f64>], total: usize) -> Option<usize> {
         let _ = (swa, total);
         None
     }
+
+    /// The lanes among `live` (bit `l` = lane `l`) whose most recent cycle
+    /// in `sim` is inadmissible, judged from
+    /// [`LaneSeqSim::prev_node_words`] and [`LaneSeqSim::node_words`]. The
+    /// engine calls this after every cycle, including the first after a
+    /// state load (when the previous words are empty), and drops a lane
+    /// from `live` once it is rejected. The default admits every cycle.
+    fn inadmissible_lanes(&self, sim: &LaneSeqSim<'_>, live: u64) -> u64 {
+        let _ = (sim, live);
+        0
+    }
 }
 
-/// The shared truncation geometry: the longest even admissible prefix given
-/// the per-cycle switching activities of a candidate trajectory of `total`
-/// cycles.
-///
-/// This is the single implementation behind both the constrained method's
-/// rule and the holding variant (which differs only in *how* the trajectory
-/// is produced, via [`StateOverlay`]).
-pub(crate) fn admissible_prefix_from_swa(swa: &[Option<f64>], total: usize, bound: f64) -> usize {
-    match swa
-        .iter()
-        .position(|s| s.is_some_and(|v| v > bound + 1e-12))
-    {
+/// The shared truncation geometry: the longest even prefix of a candidate
+/// of `total` cycles whose first inadmissible cycle is `violation`.
+pub(crate) fn prefix_before(violation: Option<usize>, total: usize) -> usize {
+    match violation {
         // Violation at cycle v (paper's j+1): usable prefix is
         // p(0) … p(j-1), i.e. v-1 cycles, rounded down to even.
         Some(v) => (v.saturating_sub(1)) & !1usize,
         None => total & !1usize,
     }
+}
+
+/// The longest even admissible prefix given the per-cycle switching
+/// activities of a candidate trajectory of `total` cycles.
+pub(crate) fn admissible_prefix_from_swa(swa: &[Option<f64>], total: usize, bound: f64) -> usize {
+    prefix_before(
+        swa.iter()
+            .position(|s| s.is_some_and(|v| v > bound + 1e-12)),
+        total,
+    )
 }
 
 /// Switching-activity bound (the paper's §4.4 rule): every measurable clock
@@ -89,17 +90,6 @@ pub struct SwaRule {
 }
 
 impl AdmissibilityPolicy for SwaRule {
-    fn admissible_prefix(
-        &self,
-        net: &Netlist,
-        start: &Bits,
-        pis: &[Bits],
-        overlay: &StateOverlay,
-    ) -> usize {
-        let (_, swa) = overlay.simulate(net, start, pis);
-        admissible_prefix_from_swa(&swa, pis.len(), self.bound)
-    }
-
     fn admissible_prefix_from_trace(&self, swa: &[Option<f64>], total: usize) -> Option<usize> {
         Some(admissible_prefix_from_swa(swa, total, self.bound))
     }
@@ -107,21 +97,11 @@ impl AdmissibilityPolicy for SwaRule {
 
 /// No admissibility constraint — the unconstrained method of \[73\] (§4.3).
 /// Every candidate keeps its full (even) length and no probe simulation is
-/// performed.
+/// charged.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Unbounded;
 
 impl AdmissibilityPolicy for Unbounded {
-    fn admissible_prefix(
-        &self,
-        _net: &Netlist,
-        _start: &Bits,
-        pis: &[Bits],
-        _overlay: &StateOverlay,
-    ) -> usize {
-        pis.len() & !1usize
-    }
-
     fn probe_cycles(&self, _seq_len: usize) -> usize {
         0
     }
@@ -134,8 +114,10 @@ impl AdmissibilityPolicy for Unbounded {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbt_netlist::s27;
+    use crate::engine::StateOverlay;
+    use fbt_netlist::{s27, Netlist};
     use fbt_sim::seq::{simulate_sequence, SeqSim};
+    use fbt_sim::Bits;
 
     fn pis(n: usize) -> Vec<Bits> {
         (0..n)
@@ -180,6 +162,20 @@ mod tests {
         }
     }
 
+    /// The prefix the engine derives for `pis` applied from `start` under
+    /// `overlay`: the policy's trace rule over the simulated trajectory.
+    fn trace_prefix(
+        rule: &dyn AdmissibilityPolicy,
+        net: &Netlist,
+        start: &Bits,
+        pis: &[Bits],
+        overlay: &StateOverlay,
+    ) -> usize {
+        let (_, swa) = overlay.simulate(net, start, pis);
+        rule.admissible_prefix_from_trace(&swa, pis.len())
+            .expect("a trace rule")
+    }
+
     #[test]
     fn swa_rule_pins_the_old_constrained_behavior() {
         // The deduplicated rule (SwaRule over the identity overlay) must
@@ -190,7 +186,7 @@ mod tests {
         let p = pis(31);
         for bound in [0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 1.0] {
             let rule = SwaRule { bound };
-            let new = rule.admissible_prefix(&net, &zero, &p, &StateOverlay::Identity);
+            let new = trace_prefix(&rule, &net, &zero, &p, &StateOverlay::Identity);
             let old = old_constrained_prefix(&net, bound, &zero, &p);
             assert_eq!(new, old, "bound {bound}");
             assert_eq!(new % 2, 0);
@@ -215,7 +211,7 @@ mod tests {
             };
             for bound in [0.0, 0.05, 0.1, 0.2, 0.35, 1.0] {
                 let rule = SwaRule { bound };
-                let new = rule.admissible_prefix(&net, &zero, &p, &overlay);
+                let new = trace_prefix(&rule, &net, &zero, &p, &overlay);
                 let old = old_holding_prefix(&net, bound, &zero, &p, &mask, h);
                 assert_eq!(new, old, "bound {bound} h {h}");
             }
@@ -244,41 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_prefix_agrees_with_the_probe_for_every_trace_policy() {
-        // The candidate-packed fast path derives prefixes from a lane's
-        // switching-activity trace instead of re-probing; the two answers
-        // must coincide for every policy that offers a trace rule.
-        let net = s27();
-        let zero = Bits::zeros(3);
-        let p = pis(30);
-        let traj = simulate_sequence(&net, &zero, &p);
-        for bound in [0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 1.0] {
-            let rule = SwaRule { bound };
-            assert_eq!(
-                rule.admissible_prefix_from_trace(&traj.swa, p.len()),
-                Some(rule.admissible_prefix(&net, &zero, &p, &StateOverlay::Identity)),
-                "bound {bound}"
-            );
-        }
-        assert_eq!(
-            Unbounded.admissible_prefix_from_trace(&traj.swa, p.len()),
-            Some(Unbounded.admissible_prefix(&net, &zero, &p, &StateOverlay::Identity))
-        );
-        assert_eq!(Unbounded.admissible_prefix_from_trace(&[], 13), Some(12));
-    }
-
-    #[test]
     fn unbounded_keeps_the_full_even_length_for_free() {
-        let net = s27();
-        let zero = Bits::zeros(3);
-        assert_eq!(
-            Unbounded.admissible_prefix(&net, &zero, &pis(12), &StateOverlay::Identity),
-            12
-        );
-        assert_eq!(
-            Unbounded.admissible_prefix(&net, &zero, &pis(13), &StateOverlay::Identity),
-            12
-        );
+        assert_eq!(Unbounded.admissible_prefix_from_trace(&[], 12), Some(12));
+        assert_eq!(Unbounded.admissible_prefix_from_trace(&[], 13), Some(12));
         assert_eq!(Unbounded.probe_cycles(60), 0);
         assert_eq!(SwaRule { bound: 0.5 }.probe_cycles(60), 60);
     }

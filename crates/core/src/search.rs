@@ -8,9 +8,11 @@
 //! (`detected`, the circuit's current state), but a **rejected** candidate
 //! mutates nothing — which makes the expensive work speculatable.
 //!
-//! The harness here draws a batch of `K` candidate seeds ahead of time from
-//! the same stream, evaluates them concurrently against a snapshot of the
-//! shared state, and then consumes the results serially *in draw order*:
+//! The search draws a batch of `K` candidate seeds ahead of time from the
+//! same stream, evaluates them in one round against a snapshot of the
+//! shared state (the engine simulates them as the lanes of one multi-lane
+//! pass and fault-simulates them in one grouped call), and then consumes
+//! the results serially *in draw order*:
 //!
 //! * a candidate whose speculative result is a reject is consumed as-is —
 //!   the snapshot it was evaluated against is exactly the state the serial
@@ -26,15 +28,12 @@
 //! the search consumes precisely the prefix of the seed stream the serial
 //! loop would have. The outcome is therefore bit-identical to the serial
 //! search for **every** batch size and thread count; speculation only
-//! trades wasted evaluations for wall-clock time.
+//! trades wasted evaluations for wall-clock time. A batch of one is the
+//! serial loop itself, on the same round.
 
 use std::collections::VecDeque;
 
-use fbt_fault::{
-    FaultSimEngine, FaultSimOptions, PackedParallelSim, SimOutcome, TestGroup, TransitionFault,
-};
 use fbt_netlist::rng::Rng;
-use fbt_netlist::Netlist;
 
 /// Tunables of the speculative seed search, carried by
 /// [`crate::FunctionalBistConfig`].
@@ -43,16 +42,10 @@ pub struct SearchOptions {
     /// Number of candidate seeds evaluated speculatively per round. `1`
     /// reproduces the serial loop with zero speculation overhead.
     pub batch: usize,
-    /// Worker threads evaluating candidates; `0` resolves to
-    /// [`std::thread::available_parallelism`].
+    /// Worker threads of each round's grouped fault simulation; `0`
+    /// resolves to [`std::thread::available_parallelism`]. Logic
+    /// simulation and admissibility run on the calling thread.
     pub threads: usize,
-    /// Evaluate each round as one candidate-packed grouped fault-simulation
-    /// call ([`fbt_fault::FaultSimEngine::simulate_groups`]) instead of one
-    /// scoped-thread PPSFP pass per candidate. Outcomes are bit-identical
-    /// either way; packing only removes the per-candidate pass overhead.
-    /// Ignored (legacy per-candidate passes) for admissibility policies that
-    /// cannot report a prefix from a switching-activity trace.
-    pub packed: bool,
 }
 
 impl Default for SearchOptions {
@@ -60,29 +53,22 @@ impl Default for SearchOptions {
         SearchOptions {
             batch: 1,
             threads: 0,
-            packed: true,
         }
     }
 }
 
 impl SearchOptions {
-    /// A serial search (batch of one, one thread, per-candidate passes).
+    /// A serial search (batch of one, one thread).
     pub fn serial() -> Self {
         SearchOptions {
             batch: 1,
             threads: 1,
-            packed: false,
         }
     }
 
-    /// A speculative search with the given batch size, automatic threads and
-    /// candidate packing.
+    /// A speculative search with the given batch size and automatic threads.
     pub fn speculative(batch: usize) -> Self {
-        SearchOptions {
-            batch,
-            threads: 0,
-            packed: true,
-        }
+        SearchOptions { batch, threads: 0 }
     }
 
     /// The thread count resolved against the machine.
@@ -139,103 +125,9 @@ impl SeedQueue {
     }
 }
 
-/// A pool of per-worker fault-simulation engines that evaluates one batch of
-/// candidate seeds concurrently with [`std::thread::scope`].
-///
-/// Engines persist across rounds (and across calls), so their lazily built
-/// fanout-cone caches amortize over the whole search.
-#[derive(Debug)]
-pub(crate) struct BatchEvaluator<'n> {
-    threads: usize,
-    engines: Vec<PackedParallelSim<'n>>,
-}
-
-impl<'n> BatchEvaluator<'n> {
-    pub(crate) fn new(net: &'n Netlist, opts: &SearchOptions) -> Self {
-        let threads = opts.resolved_threads().max(1);
-        BatchEvaluator {
-            threads,
-            engines: (0..threads).map(|_| PackedParallelSim::new(net)).collect(),
-        }
-    }
-
-    /// Thread count the *inner* fault simulation should use: when candidates
-    /// are already spread across workers, each engine runs single-threaded
-    /// to avoid oversubscription; a lone worker keeps automatic threading.
-    pub(crate) fn inner_threads(&self) -> usize {
-        if self.threads > 1 {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// The first worker's engine, for serial fault-simulation passes that
-    /// should share the search's fanout-cone caches.
-    pub(crate) fn engine(&mut self) -> &mut PackedParallelSim<'n> {
-        &mut self.engines[0]
-    }
-
-    /// Submit one speculative round as a single candidate-packed grouped
-    /// call on the primary engine: every candidate is one [`TestGroup`]
-    /// with its own detection credit against the shared `baseline`, and the
-    /// engine packs tests from different groups into the same 64-lane
-    /// words. The engine's own fault-sharded threading replaces the scoped
-    /// per-candidate workers of [`BatchEvaluator::run`].
-    pub(crate) fn simulate_groups(
-        &mut self,
-        groups: &[TestGroup<'_>],
-        faults: &[TransitionFault],
-        baseline: &[bool],
-        opts: &FaultSimOptions,
-    ) -> Vec<SimOutcome> {
-        self.engines[0].simulate_groups(groups, faults, baseline, opts)
-    }
-
-    /// Evaluate `seeds` with `f`, returning results in seed order.
-    ///
-    /// `f` must be a pure function of the seed and whatever immutable
-    /// snapshot it captures — results for the same seed and snapshot must
-    /// not depend on which worker runs it.
-    pub(crate) fn run<R, F>(&mut self, seeds: &[u64], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut PackedParallelSim<'n>, u64) -> R + Sync,
-    {
-        let workers = self.threads.min(seeds.len());
-        if workers <= 1 {
-            let engine = &mut self.engines[0];
-            return seeds.iter().map(|&s| f(engine, s)).collect();
-        }
-        let chunk = seeds.len().div_ceil(workers);
-        let per_worker: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .engines
-                .iter_mut()
-                .zip(seeds.chunks(chunk))
-                .map(|(engine, chunk_seeds)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        chunk_seeds
-                            .iter()
-                            .map(|&s| f(engine, s))
-                            .collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seed-search worker panicked"))
-                .collect()
-        });
-        per_worker.into_iter().flatten().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbt_netlist::s27;
 
     #[test]
     fn seed_queue_preserves_stream_order() {
@@ -255,22 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_returns_results_in_seed_order() {
-        let net = s27();
-        let seeds: Vec<u64> = (0..23).collect();
-        for threads in [1, 2, 8] {
-            let opts = SearchOptions {
-                batch: 8,
-                threads,
-                packed: false,
-            };
-            let mut ev = BatchEvaluator::new(&net, &opts);
-            let out = ev.run(&seeds, |_, s| s * 3);
-            assert_eq!(out, seeds.iter().map(|s| s * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn serial_options_resolve_to_one_thread() {
         let o = SearchOptions::serial();
         assert_eq!(o.resolved_threads(), 1);
@@ -284,7 +160,6 @@ mod tests {
         SearchOptions {
             batch: 0,
             threads: 1,
-            packed: false,
         }
         .validate();
     }

@@ -22,10 +22,11 @@ pub struct GenerationStats {
     /// Evaluations whose results were discarded because an earlier
     /// candidate in the round committed first (`evals - seeds_tried`).
     pub wasted_evals: usize,
-    /// Fault-simulation engine invocations actually issued. On the
-    /// candidate-packed path one grouped call evaluates a whole speculative
-    /// round, so this is far below [`GenerationStats::candidate_groups`];
-    /// on the legacy per-candidate path the two counters are equal.
+    /// Fault-simulation engine invocations actually issued. One grouped
+    /// call evaluates a whole speculative round under every admissibility
+    /// policy (signal-transition patterns included), so at batch > 1 this
+    /// is far below [`GenerationStats::candidate_groups`]; at batch 1 the
+    /// two counters are equal.
     pub fsim_calls: usize,
     /// Candidate test groups submitted to fault simulation (one per
     /// fault-simulated candidate, regardless of how the calls were

@@ -9,13 +9,17 @@
 //! `SWA ≤ SWAfunc` *and* forbids signal transitions that functional
 //! operation never produces, addressing overtesting through slow
 //! non-functional paths.
+//!
+//! Patterns are read off a [`LaneSeqSim`]'s previous and current packed
+//! node words, for the functional library and for candidates alike, so the
+//! rule judges a whole speculative round of candidates per simulated cycle.
 
 use std::collections::HashSet;
 
 use fbt_netlist::Netlist;
-use fbt_sim::{comb, Bits};
+use fbt_sim::lanes::LaneSeqSim;
+use fbt_sim::Bits;
 
-use crate::engine::StateOverlay;
 use crate::policy::AdmissibilityPolicy;
 
 /// A library of functional signal-transition patterns.
@@ -27,50 +31,49 @@ pub struct StpLibrary {
     patterns: Vec<Vec<(u32, bool)>>,
 }
 
-/// Compute the full node-value vector for one cycle.
-fn cycle_values(net: &Netlist, state: &Bits, pi: &Bits, vals: &mut [bool]) {
-    for (i, &id) in net.inputs().iter().enumerate() {
-        vals[id.index()] = pi.get(i);
+/// Hand every active lane in `live` its pattern of signal-transitions over
+/// the most recent cycle of `sim`, sorted by line, in lane order. Nothing
+/// is reported before the simulator has two cycles to compare.
+fn for_each_pattern(sim: &LaneSeqSim<'_>, live: u64, mut f: impl FnMut(usize, Vec<(u32, bool)>)) {
+    let (prev, cur) = (sim.prev_node_words(), sim.node_words());
+    if prev.is_empty() {
+        return;
     }
-    for (i, &id) in net.dffs().iter().enumerate() {
-        vals[id.index()] = state.get(i);
+    // Bits above the active lanes carry no meaning.
+    let live = live & (u64::MAX >> (64 - sim.lanes()));
+    let mut patterns: Vec<Vec<(u32, bool)>> = vec![Vec::new(); sim.lanes()];
+    for (line, (&p, &v)) in prev.iter().zip(cur).enumerate() {
+        let mut toggled = (p ^ v) & live;
+        while toggled != 0 {
+            let l = toggled.trailing_zeros() as usize;
+            patterns[l].push((line as u32, (v >> l) & 1 == 1));
+            toggled &= toggled - 1;
+        }
     }
-    comb::eval_scalar(net, vals);
-}
-
-/// The pattern of signal-transitions between two consecutive value vectors.
-fn pattern_of(prev: &[bool], cur: &[bool]) -> Vec<(u32, bool)> {
-    prev.iter()
-        .zip(cur)
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, (_, &b))| (i as u32, b))
-        .collect()
-}
-
-fn next_state(net: &Netlist, vals: &[bool]) -> Bits {
-    net.dffs()
-        .iter()
-        .map(|&d| vals[net.node(d).fanins()[0].index()])
-        .collect()
+    for (l, pattern) in patterns.into_iter().enumerate() {
+        if (live >> l) & 1 == 1 {
+            f(l, pattern);
+        }
+    }
 }
 
 impl StpLibrary {
     /// Collect the library by simulating the functional input sequences from
     /// `initial` and recording every state-transition's pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatches.
     pub fn collect(net: &Netlist, initial: &Bits, sequences: &[Vec<Bits>]) -> Self {
         let mut seen: HashSet<Vec<(u32, bool)>> = HashSet::new();
-        let mut vals = vec![false; net.num_nodes()];
-        let mut prev = vec![false; net.num_nodes()];
+        let mut sim = LaneSeqSim::new(net, 1);
         for seq in sequences {
-            let mut state = initial.clone();
-            for (c, pi) in seq.iter().enumerate() {
-                cycle_values(net, &state, pi, &mut vals);
-                if c > 0 {
-                    seen.insert(pattern_of(&prev, &vals));
-                }
-                state = next_state(net, &vals);
-                std::mem::swap(&mut prev, &mut vals);
+            sim.broadcast_state(initial);
+            for pi in seq {
+                sim.step(std::slice::from_ref(pi), None);
+                for_each_pattern(&sim, 1, |_, pattern| {
+                    seen.insert(pattern);
+                });
             }
         }
         let mut patterns: Vec<Vec<(u32, bool)>> = seen.into_iter().collect();
@@ -132,31 +135,18 @@ fn is_subset(a: &[(u32, bool)], b: &[(u32, bool)]) -> bool {
     true
 }
 
+/// A cycle is admissible when its pattern of signal-transitions is a subset
+/// of a functional one; the first cycle after a state load has no pattern
+/// and always is.
 impl AdmissibilityPolicy for StpLibrary {
-    fn admissible_prefix(
-        &self,
-        net: &Netlist,
-        start: &Bits,
-        pis: &[Bits],
-        _overlay: &StateOverlay,
-    ) -> usize {
-        let mut vals = vec![false; net.num_nodes()];
-        let mut prev = vec![false; net.num_nodes()];
-        let mut state = start.clone();
-        for (c, pi) in pis.iter().enumerate() {
-            cycle_values(net, &state, pi, &mut vals);
-            if c > 0 {
-                let pat = pattern_of(&prev, &vals);
-                if !self.allows(&pat) {
-                    // Violation at cycle c: usable prefix is c-1 cycles,
-                    // rounded down to even (same geometry as the SWA rule).
-                    return (c - 1) & !1usize;
-                }
+    fn inadmissible_lanes(&self, sim: &LaneSeqSim<'_>, live: u64) -> u64 {
+        let mut rejected = 0u64;
+        for_each_pattern(sim, live, |l, pattern| {
+            if !self.allows(&pattern) {
+                rejected |= 1 << l;
             }
-            state = next_state(net, &vals);
-            std::mem::swap(&mut prev, &mut vals);
-        }
-        pis.len() & !1usize
+        });
+        rejected
     }
 }
 
@@ -164,8 +154,47 @@ impl AdmissibilityPolicy for StpLibrary {
 mod tests {
     use super::*;
     use crate::driver::{functional_sequences, DrivingBlock};
-    use crate::{generate_constrained_with_library, DeviationMetric, FunctionalBistConfig};
+    use crate::policy::{prefix_before, SwaRule};
+    use crate::{generate_constrained_with_library, FunctionalBistConfig};
     use fbt_netlist::s27;
+
+    /// Each lane's admissible prefix under `policy` with the equal-length
+    /// `seqs` clocked as lanes from `start`, derived as the engine's round
+    /// derives it.
+    fn lane_prefixes(
+        policy: &dyn AdmissibilityPolicy,
+        net: &Netlist,
+        start: &Bits,
+        seqs: &[Vec<Bits>],
+    ) -> Vec<usize> {
+        let (lanes, len) = (seqs.len(), seqs[0].len());
+        let mut sim = LaneSeqSim::new(net, lanes);
+        sim.broadcast_state(start);
+        let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::new(); lanes];
+        let mut first_rejected: Vec<Option<usize>> = vec![None; lanes];
+        // `c` indexes the inner (cycle) axis of `seqs` inside the closure.
+        #[allow(clippy::needless_range_loop)]
+        for c in 0..len {
+            sim.step_with(|l| &seqs[l][c], None);
+            // Every bit live: bits above the active lanes must be ignored.
+            let rejected = policy.inadmissible_lanes(&sim, u64::MAX);
+            assert_eq!(rejected >> lanes, 0, "only active lanes are judged");
+            for (l, (trace, first)) in swa.iter_mut().zip(&mut first_rejected).enumerate() {
+                trace.push(sim.swa().map(|s| s[l]));
+                if (rejected >> l) & 1 == 1 {
+                    first.get_or_insert(c);
+                }
+            }
+        }
+        (0..lanes)
+            .map(|l| {
+                policy
+                    .admissible_prefix_from_trace(&swa[l], len)
+                    .unwrap_or(len & !1)
+                    .min(prefix_before(first_rejected[l], len))
+            })
+            .collect()
+    }
 
     #[test]
     fn subset_merge_test() {
@@ -185,10 +214,13 @@ mod tests {
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &Bits::zeros(3), &seqs);
         assert!(!lib.is_empty());
-        // Re-simulate the first sequence and check every cycle is allowed.
-        let prefix =
-            lib.admissible_prefix(&net, &Bits::zeros(3), &seqs[0], &StateOverlay::Identity);
-        assert_eq!(prefix, seqs[0].len() & !1usize);
+        // Re-simulate the functional sequences: every cycle is allowed.
+        for (seq, prefix) in seqs
+            .iter()
+            .zip(lane_prefixes(&lib, &net, &Bits::zeros(3), &seqs))
+        {
+            assert_eq!(prefix, seq.len() & !1usize);
+        }
     }
 
     #[test]
@@ -201,10 +233,7 @@ mod tests {
     #[test]
     fn stp_constrained_generation_runs() {
         let net = s27();
-        let cfg = FunctionalBistConfig {
-            metric: DeviationMetric::SignalTransitionPatterns,
-            ..FunctionalBistConfig::smoke()
-        };
+        let cfg = FunctionalBistConfig::smoke();
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &Bits::zeros(3), &seqs);
         let bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;
@@ -221,16 +250,16 @@ mod tests {
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &Bits::zeros(3), &seqs);
         let swa_bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;
-        let swa_rule = crate::policy::SwaRule { bound: swa_bound };
+        let swa_rule = SwaRule { bound: swa_bound };
         // On any candidate segment, the STP prefix cannot exceed the SWA
         // prefix computed from the library's own activity ceiling.
         let mut tpg =
             fbt_bist::Tpg::new(fbt_bist::TpgSpec::standard(vec![fbt_sim::Trit::X; 4]), 42);
-        let overlay = StateOverlay::Identity;
-        for _ in 0..5 {
-            let pis = tpg.sequence(40);
-            let stp_len = lib.admissible_prefix(&net, &Bits::zeros(3), &pis, &overlay);
-            let swa_len = swa_rule.admissible_prefix(&net, &Bits::zeros(3), &pis, &overlay);
+        let cands: Vec<Vec<Bits>> = (0..5).map(|_| tpg.sequence(40)).collect();
+        let zero = Bits::zeros(3);
+        let stp = lane_prefixes(&lib, &net, &zero, &cands);
+        let swa = lane_prefixes(&swa_rule, &net, &zero, &cands);
+        for (stp_len, swa_len) in stp.into_iter().zip(swa) {
             assert!(stp_len <= swa_len, "stp {stp_len} > swa {swa_len}");
         }
     }

@@ -293,11 +293,7 @@ mod tests {
         let reference = generate_unconstrained(&net, &serial_cfg);
         for batch in [2, 4, 16] {
             let cfg = FunctionalBistConfig {
-                search: SearchOptions {
-                    batch,
-                    threads: 2,
-                    packed: true,
-                },
+                search: SearchOptions { batch, threads: 2 },
                 ..FunctionalBistConfig::smoke()
             };
             let out = generate_unconstrained(&net, &cfg);

@@ -29,11 +29,7 @@ pub fn circuits() -> Vec<(&'static str, Netlist)> {
 
 pub fn cfg_with(batch: usize, threads: usize) -> FunctionalBistConfig {
     FunctionalBistConfig {
-        search: SearchOptions {
-            batch,
-            threads,
-            packed: true,
-        },
+        search: SearchOptions { batch, threads },
         ..FunctionalBistConfig::smoke()
     }
 }

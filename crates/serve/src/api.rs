@@ -411,6 +411,26 @@ mod tests {
             "{\"circuit\":\"s27\",\"batch\":0}",
         ));
         assert_eq!(status, 400);
+        // Search widths are capped at one lane word: a huge batch or thread
+        // count is a 400, never an allocation attempt, and the server keeps
+        // serving — 64 itself is still accepted.
+        for body in [
+            "{\"circuit\":\"s27\",\"batch\":1000000000000}",
+            "{\"circuit\":\"s27\",\"threads\":4294967295}",
+            "{\"circuit\":\"s27\",\"batch\":65}",
+            "{\"circuit\":\"s27\",\"threads\":65}",
+        ] {
+            let (status, reply) = state.handle(&request("POST", "/jobs", body));
+            assert_eq!(status, 400, "{body}: {reply}");
+        }
+        let (status, reply) = state.handle(&request(
+            "POST",
+            "/jobs",
+            "{\"circuit\":\"s27\",\"method\":\"unconstrained\",\"batch\":64,\"threads\":64}",
+        ));
+        assert_eq!(status, 202, "{reply}");
+        let (status, _) = state.handle(&request("GET", "/health", ""));
+        assert_eq!(status, 200);
         state.pool.drain();
     }
 }

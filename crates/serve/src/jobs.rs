@@ -28,6 +28,12 @@ use fbt_netlist::json::{escape, Json, ObjWriter};
 
 use crate::store::{digest_hex, CircuitEntry, ContentStore};
 
+/// Largest `batch` and `threads` a job spec may ask for. A batch of 64
+/// fills one lane word of the seed search; a fixed thread cap keeps the
+/// spec contract the same on every host and bounds the per-worker fault
+/// simulation tables a job can allocate.
+const MAX_SEARCH_WIDTH: u64 = 64;
+
 /// What a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -123,16 +129,16 @@ impl JobSpec {
         };
         let mut search = SearchOptions::default();
         if let Some(batch) = v.get("batch").and_then(Json::as_u64) {
-            if batch == 0 {
-                return Err("batch must be positive".into());
+            if batch == 0 || batch > MAX_SEARCH_WIDTH {
+                return Err(format!("batch {batch} outside 1..={MAX_SEARCH_WIDTH}"));
             }
             search.batch = batch as usize;
         }
         if let Some(threads) = v.get("threads").and_then(Json::as_u64) {
+            if threads > MAX_SEARCH_WIDTH {
+                return Err(format!("threads {threads} above {MAX_SEARCH_WIDTH}"));
+            }
             search.threads = threads as usize;
-        }
-        if let Some(packed) = v.get("packed").and_then(Json::as_bool) {
-            search.packed = packed;
         }
         let swa_scale = match v.get("swa_scale").and_then(Json::as_f64) {
             Some(s) if s > 0.0 && s <= 1.0 => s,
@@ -407,7 +413,6 @@ fn run_job(job: &Job, store: &ContentStore) -> Result<String, String> {
                 .str("preset", &spec.preset)
                 .num("batch", cfg.search.batch)
                 .num("threads", cfg.search.threads)
-                .bool("packed", cfg.search.packed)
                 .num("seed", cfg.master_seed);
             match spec.method {
                 Method::Unconstrained => {

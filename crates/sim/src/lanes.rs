@@ -140,6 +140,30 @@ impl<'a> LaneSeqSim<'a> {
         self.swa_ready.then_some(&self.swa[..])
     }
 
+    /// The packed node words of the most recent cycle, one per node; bit
+    /// `l` is lane `l`'s value. Empty until a cycle has been stepped since
+    /// construction or the last state load. Bits above the active lanes
+    /// carry no meaning.
+    pub fn node_words(&self) -> &[u64] {
+        // A step swaps its freshly evaluated buffer into `prev_vals`.
+        if self.have_prev {
+            &self.prev_vals
+        } else {
+            &[]
+        }
+    }
+
+    /// The packed node words of the cycle before the most recent one —
+    /// what [`LaneSeqSim::swa`] compares [`LaneSeqSim::node_words`]
+    /// against. Empty exactly when `swa()` is `None`.
+    pub fn prev_node_words(&self) -> &[u64] {
+        if self.swa_ready {
+            &self.vals
+        } else {
+            &[]
+        }
+    }
+
     /// Apply one clock cycle with lane `l` driven by `pis[l]`.
     ///
     /// # Panics
@@ -346,16 +370,26 @@ mod tests {
                     .map(|_| ScalarSeqSim::new(&net, &start))
                     .collect();
 
+                // Empty before the first cycle, then the cycle before.
+                let mut last_nodes: Vec<u64> = Vec::new();
                 for c in 0..cycles {
                     packed.step_with(|l| &pis[l][c], holds[c].as_ref());
                     let swa = packed.swa();
                     assert_eq!(swa.is_some(), c > 0, "SWA defined from cycle 1");
+                    assert_eq!(packed.prev_node_words(), &last_nodes[..]);
+                    last_nodes = packed.node_words().to_vec();
                     for (l, scalar) in scalars.iter_mut().enumerate() {
                         let r = scalar.step_holding(&pis[l][c], holds[c].as_ref());
                         assert_eq!(
                             packed.lane_state(l),
                             r.next_state,
                             "{} lanes={lanes} cycle={c} lane={l}",
+                            net.name()
+                        );
+                        assert_eq!(
+                            extract_lane(packed.node_words(), l),
+                            Bits::from_bools(scalar.node_values()),
+                            "{} node values lanes={lanes} cycle={c} lane={l}",
                             net.name()
                         );
                         assert_eq!(
@@ -434,8 +468,11 @@ mod tests {
         sim.step(&pis, None);
         assert!(sim.swa().is_some());
         sim.broadcast_state(&Bits::from_str01("111"));
+        assert!(sim.node_words().is_empty() && sim.prev_node_words().is_empty());
         sim.step(&pis, None);
         assert!(sim.swa().is_none(), "history cleared by state load");
+        assert!(sim.prev_node_words().is_empty());
+        assert_eq!(sim.node_words().len(), net.num_nodes());
     }
 
     #[test]
@@ -538,9 +575,9 @@ mod tests {
                             })
                             .collect();
                         sim.step(&pis, None);
-                        // After a step, `prev_vals` holds this cycle's values.
-                        let cur = sim.prev_vals.clone();
+                        let cur = sim.node_words().to_vec();
                         if let Some(prev) = &last {
+                            assert_eq!(sim.prev_node_words(), &prev[..]);
                             let swa = sim.swa().expect("defined after the first cycle");
                             for (l, &s) in swa.iter().enumerate() {
                                 let toggles = prev

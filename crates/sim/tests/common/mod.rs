@@ -42,6 +42,12 @@ impl<'a> ScalarSeqSim<'a> {
         &self.state
     }
 
+    /// Every node's value in the most recent cycle, indexed by node id
+    /// (all `false` before the first step).
+    pub fn node_values(&self) -> &[bool] {
+        &self.vals
+    }
+
     /// Force the state and clear the switching-activity history.
     pub fn set_state(&mut self, state: &Bits) {
         assert_eq!(state.len(), self.net.num_dffs(), "state width mismatch");

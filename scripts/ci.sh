@@ -254,59 +254,36 @@ cargo run --release -q -p fbt-sim --example kprof
 
 echo "== golden Chapter-4 outcomes (bit-identity vs committed fixtures) =="
 # The three generation modes must reproduce the committed pre-engine
-# fixtures byte-exactly across batch/thread combinations. The golden suite
-# runs the candidate-packed path (batch {1, 4, 16}); the determinism suite
-# additionally diffs packed against the legacy per-candidate passes and the
-# serial reference.
+# fixtures byte-exactly across batch/thread combinations (batch {1, 4, 16});
+# the determinism suite diffs every batch/thread combination, under both
+# the SWA bound and signal-transition patterns, against independent serial
+# references.
 cargo test --release -q -p fbt-core --test golden_ch4
 cargo test --release -q -p fbt-core --test speculative_determinism
 
 echo "== bench_ch4 smoke (speculative search stats + JSON) =="
 # One small constrained generation with stats printing (restricted to one
-# circuit via the filter argument); the run itself asserts serial, legacy
-# speculative and candidate-packed modes reach identical coverage, and the
-# JSON summary must record the unified engine it was measured on. The
-# packed grouped calls exist to remove per-candidate pass overhead, so
-# packed batch-8 must not be slower than the serial loop even at smoke
-# scale. Raw wall-clock comparisons flake on loaded hosts, so the perf gate
-# runs the smoke benchmark three times and compares per-mode medians with a
-# 10% tolerance, printing both timings on failure.
-bench_jsons=()
-for rep in 1 2 3; do
-    bench_json=$(mktemp)
-    BENCH_CH4_OUT="${bench_json}" cargo run --release -q -p fbt-bench --bin bench_ch4 smoke spi
-    python3 -m json.tool "${bench_json}" > /dev/null
-    bench_jsons+=("${bench_json}")
-done
-python3 - "${bench_jsons[@]}" <<'EOF'
+# circuit via the filter argument); the run itself asserts the serial and
+# candidate-packed batch-8 modes reach identical coverage, and the JSON
+# summary must record the unified engine it was measured on. Both modes run
+# the same candidate-packed round, so there is no timing to compare: at
+# smoke scale batch 8 simulates several times the cycles of batch 1.
+bench_json=$(mktemp)
+BENCH_CH4_OUT="${bench_json}" cargo run --release -q -p fbt-bench --bin bench_ch4 smoke spi
+python3 - "${bench_json}" <<'EOF'
 import json, sys
-from statistics import median
 
-walls = {"serial": [], "spec8": [], "packed8": []}
-for path in sys.argv[1:]:
-    d = json.load(open(path))
-    assert d.get("engine") == "unified", f"missing/stale engine field: {d.get('engine')!r}"
-    assert all(e["circuit"] == "spi" for e in d["entries"]), "circuit filter ignored"
-    modes = {e["mode"] for e in d["entries"]}
-    assert modes == {"serial", "spec8", "packed8"}, f"unexpected mode set: {modes}"
-    assert all("threads_capped" in e for e in d["entries"]), "threads_capped missing"
-    for method in ("unconstrained", "constrained"):
-        rows = {e["mode"]: e for e in d["entries"] if e["method"] == method}
-        assert len({e["fc_pct"] for e in rows.values()}) == 1, f"{method}: coverage drifted"
-    for mode in modes:
-        walls[mode].append(
-            sum(e["stats"]["total_wall_s"] for e in d["entries"] if e["mode"] == mode)
-        )
-packed = median(walls["packed8"])
-serial = median(walls["serial"])
-assert packed <= serial * 1.10, (
-    f"packed8 slower than serial beyond tolerance: "
-    f"median packed8 {packed:.4f}s vs median serial {serial:.4f}s "
-    f"(packed8 runs: {[f'{w:.4f}' for w in walls['packed8']]}, "
-    f"serial runs: {[f'{w:.4f}' for w in walls['serial']]})"
-)
+d = json.load(open(sys.argv[1]))
+assert d.get("engine") == "unified", f"missing/stale engine field: {d.get('engine')!r}"
+assert all(e["circuit"] == "spi" for e in d["entries"]), "circuit filter ignored"
+modes = {e["mode"] for e in d["entries"]}
+assert modes == {"serial", "packed8"}, f"unexpected mode set: {modes}"
+assert all("threads_capped" in e for e in d["entries"]), "threads_capped missing"
+for method in ("unconstrained", "constrained"):
+    rows = {e["mode"]: e for e in d["entries"] if e["method"] == method}
+    assert len({e["fc_pct"] for e in rows.values()}) == 1, f"{method}: coverage drifted"
 EOF
-rm -f "${bench_jsons[@]}"
+rm -f "${bench_json}"
 
 echo "== bench_sat smoke (CDCL solver stats + JSON) =="
 # Solves every transition fault of the smoke circuits through the SAT
