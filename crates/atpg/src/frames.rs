@@ -488,7 +488,7 @@ mod tests {
         let net = s27();
         let mut tfm = TwoFrame::new(&net);
         use fbt_fault::FaultSimEngine;
-        let mut fsim = fbt_fault::SerialSim::new(&net);
+        let mut fsim = fbt_fault::PackedParallelSim::new(&net);
         let faults = fbt_fault::all_transition_faults(&net);
         let mut rng = fbt_netlist::rng::Rng::new(17);
         for _ in 0..25 {

@@ -25,7 +25,6 @@
 //!   time-frame-expansion encoding, used as the pipeline's fallback for
 //!   aborted faults and as the source of UNSAT *untestability proofs*.
 
-pub mod compaction;
 pub mod frames;
 pub mod implic;
 pub mod necessary;

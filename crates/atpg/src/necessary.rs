@@ -274,7 +274,7 @@ mod tests {
         let n = net.num_nodes();
         let faults = fbt_fault::all_transition_faults(&net);
         use fbt_fault::FaultSimEngine;
-        let mut fsim = fbt_fault::SerialSim::new(&net);
+        let mut fsim = fbt_fault::PackedParallelSim::new(&net);
         let mut rng = fbt_netlist::rng::Rng::new(41);
         let tests: Vec<fbt_fault::BroadsideTest> = (0..200)
             .map(|_| {

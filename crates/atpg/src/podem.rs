@@ -198,7 +198,7 @@ impl<'a> Podem<'a> {
 mod tests {
     use super::*;
     use fbt_fault::{all_transition_faults, Transition};
-    use fbt_fault::{FaultSimEngine, SerialSim};
+    use fbt_fault::{FaultSimEngine, PackedParallelSim};
     use fbt_netlist::rng::Rng;
     use fbt_netlist::{s27, synth};
 
@@ -208,7 +208,7 @@ mod tests {
         let n_ff = net.num_dffs();
         let total = n_pi * 2 + n_ff;
         assert!(total <= 16, "too big for brute force");
-        let mut fsim = SerialSim::new(net);
+        let mut fsim = PackedParallelSim::new(net);
         for combo in 0..(1u32 << total) {
             let bit = |k: usize| (combo >> k) & 1 == 1;
             let s1: fbt_sim::Bits = (0..n_ff).map(bit).collect();
@@ -230,7 +230,7 @@ mod tests {
             time_limit: Duration::from_secs(30),
         };
         let mut podem = Podem::new(&net, cfg);
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let mut rng = Rng::new(3);
         for f in all_transition_faults(&net) {
             let truth = exhaustive_detectable(&net, &f);
@@ -276,7 +276,7 @@ mod tests {
             time_limit: Duration::from_secs(30),
         };
         let mut podem = Podem::new(&net, cfg);
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         // Two individually testable faults; ask for one test for both.
         let faults = [
             TransitionFault::new(net.find("G8").unwrap(), Transition::Rise),
@@ -299,7 +299,7 @@ mod tests {
             time_limit: Duration::from_secs(10),
         };
         let mut podem = Podem::new(&net, cfg);
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let faults = all_transition_faults(&net);
         let mut rng = Rng::new(11);
         let mut decided = 0usize;

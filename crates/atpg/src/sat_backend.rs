@@ -109,7 +109,7 @@ mod tests {
     use super::*;
     use crate::podem::{Podem, PodemConfig};
     use fbt_fault::path::{enumerate_paths, tpdf_list};
-    use fbt_fault::{all_transition_faults, FaultSimEngine, SerialSim};
+    use fbt_fault::{all_transition_faults, FaultSimEngine, PackedParallelSim};
     use fbt_netlist::rng::Rng;
     use fbt_netlist::s27;
     use std::time::Duration;
@@ -125,7 +125,7 @@ mod tests {
                 time_limit: Duration::from_secs(20),
             },
         );
-        let mut sim = SerialSim::new(&net);
+        let mut sim = PackedParallelSim::new(&net);
         let mut rng = Rng::new(3);
         for fault in all_transition_faults(&net) {
             let sat_outcome = sat.generate(&fault);
@@ -189,7 +189,7 @@ mod tests {
             match sat.generate(fault) {
                 AtpgOutcome::Test(cube) => {
                     let t = cube.fill(false);
-                    assert!(SerialSim::new(&net).detects(&t, fault));
+                    assert!(PackedParallelSim::new(&net).detects(&t, fault));
                 }
                 AtpgOutcome::Untestable | AtpgOutcome::Aborted => {}
             }

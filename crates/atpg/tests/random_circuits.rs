@@ -12,7 +12,7 @@ use std::time::Duration;
 use fbt_atpg::necessary::{transition_fault_analysis, Analysis};
 use fbt_atpg::podem::{AtpgOutcome, Podem};
 use fbt_atpg::PodemConfig;
-use fbt_fault::{all_transition_faults, collapse, FaultSimEngine, SerialSim};
+use fbt_fault::{all_transition_faults, collapse, FaultSimEngine, PackedParallelSim};
 use fbt_netlist::rng::Rng;
 use fbt_netlist::synth::CircuitSpec;
 use fbt_netlist::{synth, Netlist};
@@ -44,7 +44,7 @@ fn podem_tests_are_sound() {
     for _ in 0..25 {
         let net = small_circuit(&mut rng);
         let mut podem = Podem::new(&net, cfg());
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let faults = collapse(&net, &all_transition_faults(&net));
         for f in faults.iter().take(30) {
             if let AtpgOutcome::Test(cube) = podem.generate(f) {
@@ -65,7 +65,7 @@ fn untestable_faults_resist_random_tests() {
     for _ in 0..25 {
         let net = small_circuit(&mut rng);
         let mut podem = Podem::new(&net, cfg());
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let faults = collapse(&net, &all_transition_faults(&net));
         let tests: Vec<fbt_fault::BroadsideTest> = (0..96)
             .map(|_| {

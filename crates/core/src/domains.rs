@@ -310,7 +310,7 @@ mod tests {
         let faults = all_transition_faults(&net);
         let mut detected = vec![false; faults.len()];
         use fbt_fault::{FaultSimEngine, FaultSimOptions, TestSet};
-        let mut fsim = fbt_fault::SerialSim::new(&net);
+        let mut fsim = fbt_fault::PackedParallelSim::new(&net);
         fsim.simulate(
             TestSet::TwoPattern(&tests),
             &faults,

@@ -357,8 +357,8 @@ pub struct GenerationEngine<'n> {
     faults: Vec<TransitionFault>,
     active_faults: Vec<TransitionFault>,
     active_idx: Vec<usize>,
-    /// One engine for the whole search, so its fanout-cone caches amortize
-    /// over every round and the compaction pass.
+    /// One engine for the whole search, so its kernel handle and worker
+    /// scratch are reused by every round and the compaction pass.
     fsim: PackedParallelSim<'n>,
     /// Compiled-kernel cache activity attributable to this engine's
     /// construction (global-counter delta around the simulator build).

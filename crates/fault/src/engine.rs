@@ -1,38 +1,34 @@
-//! The unified fault-simulation engine API.
+//! The fault-simulation engine API.
 //!
 //! Everything the workspace needs from broadside transition-fault
 //! simulation goes through one trait, [`FaultSimEngine`], configured by a
 //! builder-style [`FaultSimOptions`]. The trait's core entry point is
 //! *grouped*: one call simulates a whole batch of independent candidate
 //! test sequences ([`TestGroup`]s), each with its own detection credit.
-//! Two implementations are provided:
 //!
-//! * [`SerialSim`] — the original single-threaded simulator, kept as the
-//!   correctness oracle; it simulates each group of a batch on its own.
-//! * [`PackedParallelSim`] — a PPSFP-style (parallel-pattern, single-fault
-//!   propagation) engine that packs 64 tests per `u64` word — *across group
-//!   boundaries* — and shards the fault list across worker threads with
-//!   [`std::thread::scope`]. One levelized pass over the circuit evaluates
-//!   tests from many speculative candidates at once; fault dropping is
-//!   lane-masked per group, so a drop credited to group *i* never leaks
-//!   into group *j*'s outcome.
+//! [`PackedParallelSim`] implements it: a PPSFP-style (parallel-pattern,
+//! single-fault propagation) engine that packs 64 tests per `u64` word —
+//! *across group boundaries* — and shards the fault list across worker
+//! threads with [`std::thread::scope`]. One levelized pass over the circuit
+//! evaluates tests from many speculative candidates at once; fault dropping
+//! is lane-masked per group, so a drop credited to group *i* never leaks
+//! into group *j*'s outcome.
 //!
-//! Both engines produce bit-identical results: within a 64-test word each
-//! fault is simulated independently against a shared fault-free machine, so
-//! neither the word boundaries, the group packing, the shard boundaries nor
-//! the thread count can change a detection verdict. Fault dropping takes
-//! effect between words in both engines, and every group's outcome equals
-//! what running that group alone (from the shared baseline) would produce.
+//! Within a 64-test word each fault is simulated independently against a
+//! shared fault-free machine, so neither the word boundaries, the group
+//! packing, the shard boundaries nor the thread count can change a
+//! detection verdict. Fault dropping takes effect between words, and every
+//! group's outcome equals what running that group alone (from the shared
+//! baseline) would produce. The `differential` and `grouped_differential`
+//! integration tests pin this against an independent scalar oracle that
+//! simulates one test and one fault at a time.
 //!
-//! By default both engines evaluate through the cached compiled kernels of
-//! [`fbt_sim::kernel`]: the fault-free frames run the flattened full
-//! program and each fault's propagation runs an event-driven pass with a
-//! patch slot at the fault site, re-evaluating only the ops whose inputs
-//! change; the kernel is shared across engines and worker threads via the
-//! global content-addressed cache. The `interpreted` constructors select
-//! the original gate-walking path instead; it is the oracle the compiled
-//! path is pinned against (see the `compiled_kernel` integration test),
-//! and both paths are bit-identical on values, detections and activity.
+//! Evaluation runs on the cached compiled kernels of [`fbt_sim::kernel`]:
+//! the fault-free frames run the flattened full program and each fault's
+//! propagation runs an event-driven pass with a patch slot at the fault
+//! site, re-evaluating only the ops whose inputs change; the kernel is
+//! shared across engines and worker threads via the global
+//! content-addressed cache.
 //!
 //! # Example
 //!
@@ -65,19 +61,11 @@
 
 use std::sync::Arc;
 
-use fbt_netlist::{Netlist, NodeId};
+use fbt_netlist::Netlist;
 use fbt_sim::comb;
-use fbt_sim::kernel::Kernel;
+use fbt_sim::kernel::{FaultProp, Kernel};
 
 use crate::{BroadsideTest, Transition, TransitionFault, TwoPatternTest};
-
-/// Which evaluation machinery an engine runs on: the cached compiled
-/// kernel (default) or the gate-walking interpreter (the oracle).
-#[derive(Debug, Clone)]
-enum EvalPath {
-    Compiled(Arc<Kernel>),
-    Interpreted,
-}
 
 /// Configuration for one [`FaultSimEngine`] call.
 ///
@@ -94,9 +82,7 @@ pub struct FaultSimOptions {
     n_detect: usize,
     fault_dropping: bool,
     threads: usize,
-    first_detection: bool,
     matrix: bool,
-    activity: bool,
     until_first_accept: bool,
 }
 
@@ -106,9 +92,7 @@ impl Default for FaultSimOptions {
             n_detect: 1,
             fault_dropping: true,
             threads: 0,
-            first_detection: false,
             matrix: false,
-            activity: false,
             until_first_accept: false,
         }
     }
@@ -146,27 +130,12 @@ impl FaultSimOptions {
         self
     }
 
-    /// Record, per fault, the index of the first detecting test.
-    pub fn first_detection(mut self, on: bool) -> Self {
-        self.first_detection = on;
-        self
-    }
-
     /// Record the full fault × test detection matrix. Implies fault
-    /// dropping off: every detection of every fault must be observed.
+    /// dropping off, whatever [`fault_dropping`](Self::fault_dropping) says
+    /// and in whichever order the two are set: every detection of every
+    /// fault must be observed.
     pub fn detection_matrix(mut self, on: bool) -> Self {
         self.matrix = on;
-        if on {
-            self.fault_dropping = false;
-        }
-        self
-    }
-
-    /// Account the fault-free launch→capture switching activity of each
-    /// test (number of circuit lines toggling between the two patterns, the
-    /// quantity behind the paper's §4.4 `SWA` measure).
-    pub fn activity(mut self, on: bool) -> Self {
-        self.activity = on;
         self
     }
 
@@ -189,9 +158,10 @@ impl FaultSimOptions {
         self.n_detect
     }
 
-    /// Whether fault dropping is enabled.
+    /// Whether fault dropping is in effect: requested, and no detection
+    /// matrix is being recorded.
     pub fn drops_faults(&self) -> bool {
-        self.fault_dropping
+        self.fault_dropping && !self.matrix
     }
 
     /// The configured thread count (`0` = automatic).
@@ -231,15 +201,8 @@ impl TestSet<'_> {
         self.len() == 0
     }
 
-    /// Pack tests `start..end` (at most 64) into per-source words.
-    fn pack(&self, net: &Netlist, start: usize, end: usize) -> PackedChunk {
-        let mut c = PackedChunk::new(net, end - start);
-        self.pack_into(net, start, end, 0, &mut c);
-        c
-    }
-
     /// Pack tests `start..end` into lanes `lane_lo..` of an existing chunk
-    /// (the grouped engines interleave several groups into one word).
+    /// (a grouped call interleaves several groups into one word).
     fn pack_into(
         &self,
         net: &Netlist,
@@ -411,14 +374,8 @@ pub struct SimOutcome {
     /// Per-fault detection counts, clamped to the cap
     /// (present when `n_detect > 1`).
     pub counts: Option<Vec<usize>>,
-    /// Per-fault index of the first detecting test, group-local
-    /// (present when `first_detection` was requested).
-    pub first_detection: Option<Vec<Option<usize>>>,
     /// The full detection matrix (present when requested).
     pub matrix: Option<DetectionMatrix>,
-    /// Per-test count of fault-free lines toggling between launch and
-    /// capture (present when `activity` was requested).
-    pub activity: Option<Vec<usize>>,
 }
 
 impl Default for SimOutcome {
@@ -428,9 +385,7 @@ impl Default for SimOutcome {
             newly: Vec::new(),
             complete: true,
             counts: None,
-            first_detection: None,
             matrix: None,
-            activity: None,
         }
     }
 }
@@ -606,11 +561,7 @@ struct GoodMachine {
     lanes_mask: u64,
 }
 
-fn eval_good(net: &Netlist, chunk: &PackedChunk, path: &EvalPath) -> GoodMachine {
-    let eval = |vals: &mut [u64]| match path {
-        EvalPath::Compiled(kernel) => kernel.eval2(vals),
-        EvalPath::Interpreted => comb::eval_packed(net, vals),
-    };
+fn eval_good(net: &Netlist, chunk: &PackedChunk, kernel: &Kernel) -> GoodMachine {
     let lanes_mask: u64 = if chunk.n_tests == 64 {
         !0
     } else {
@@ -618,7 +569,7 @@ fn eval_good(net: &Netlist, chunk: &PackedChunk, path: &EvalPath) -> GoodMachine
     };
     let mut frame1 = vec![0u64; net.num_nodes()];
     comb::load_sources_packed(net, &chunk.v1w, &chunk.s1w, &mut frame1);
-    eval(&mut frame1);
+    kernel.eval2(&mut frame1);
     let mut s2w = comb::next_state_packed(net, &frame1);
     if chunk.s2_mask != 0 {
         for (w, e) in s2w.iter_mut().zip(&chunk.s2w) {
@@ -627,7 +578,7 @@ fn eval_good(net: &Netlist, chunk: &PackedChunk, path: &EvalPath) -> GoodMachine
     }
     let mut good = vec![0u64; net.num_nodes()];
     comb::load_sources_packed(net, &chunk.v2w, &s2w, &mut good);
-    eval(&mut good);
+    kernel.eval2(&mut good);
     GoodMachine {
         frame1,
         good,
@@ -739,24 +690,14 @@ fn record_hit(
 }
 
 /// Per-worker mutable state, reused across chunks: the faulty-machine
-/// scratch buffer, the compiled path's event-propagation scratch, and the
-/// interpreted path's lazily built fanout-cone cache (indexed by node,
-/// which is both faster and shard-friendlier than a hash map).
+/// scratch buffer and the kernel's event-propagation scratch.
+#[derive(Debug, Default)]
 struct Worker {
     scratch: Vec<u64>,
-    prop: fbt_sim::kernel::FaultProp,
-    cones: Vec<Option<Box<[NodeId]>>>,
+    prop: FaultProp,
 }
 
 impl Worker {
-    fn new(net: &Netlist) -> Self {
-        Worker {
-            scratch: Vec::new(),
-            prop: fbt_sim::kernel::FaultProp::default(),
-            cones: vec![None; net.num_nodes()],
-        }
-    }
-
     /// Reset the scratch buffer to the chunk's fault-free values.
     fn load_good(&mut self, gm: &GoodMachine) {
         self.scratch.clear();
@@ -766,23 +707,17 @@ impl Worker {
 
 /// The lanes (bit per test) in which `fault` is detected in this chunk.
 ///
-/// Single-fault propagation: force the stuck value at the fault site,
-/// re-evaluate only its fanout cone against the shared good machine, and
-/// compare at observation points. The scratch buffer must equal `gm.good`
-/// on entry and is restored before returning.
-///
-/// On the compiled path [`fbt_sim::kernel::Kernel::propagate`] runs an
-/// event-driven pass that re-evaluates only the ops whose inputs actually
-/// change (diff and restore folded in); the interpreted path re-evaluates
-/// the full static fanout cone. Both produce identical lane masks.
+/// Single-fault propagation: force the stuck value at the fault site and
+/// let [`Kernel::propagate`] re-evaluate, event-driven, only the ops whose
+/// inputs actually change against the shared good machine, comparing at
+/// observation points (POs and flip-flop D inputs). The scratch buffer must
+/// equal `gm.good` on entry and is restored before returning.
 #[inline]
 fn fault_lanes(
-    net: &Netlist,
-    observable: &[bool],
+    kernel: &Kernel,
     gm: &GoodMachine,
     worker: &mut Worker,
     fault: &TransitionFault,
-    path: &EvalPath,
 ) -> u64 {
     let g = fault.line.index();
     let init_word: u64 = match fault.transition {
@@ -802,45 +737,21 @@ fn fault_lanes(
     if act & (gm.good[g] ^ init_word) == 0 {
         return 0;
     }
-    let diff_obs = match path {
-        EvalPath::Compiled(kernel) => kernel.propagate(
-            &mut worker.prop,
-            g,
-            init_word,
-            &mut worker.scratch,
-            &gm.good,
-        ),
-        EvalPath::Interpreted => {
-            let cone = worker.cones[g]
-                .get_or_insert_with(|| net.fanout_cone(fault.line).into_boxed_slice());
-            worker.scratch[g] = init_word;
-            // cone[0] is the faulty line itself: it must keep the forced
-            // value, so evaluation starts at cone[1].
-            comb::eval_packed_cone(net, &cone[1..], &mut worker.scratch);
-            let mut diff_obs = 0u64;
-            for &c in cone.iter() {
-                if observable[c.index()] {
-                    diff_obs |= worker.scratch[c.index()] ^ gm.good[c.index()];
-                }
-            }
-            for &c in cone.iter() {
-                worker.scratch[c.index()] = gm.good[c.index()];
-            }
-            diff_obs
-        }
-    };
-    act & diff_obs
+    act & kernel.propagate(
+        &mut worker.prop,
+        g,
+        init_word,
+        &mut worker.scratch,
+        &gm.good,
+    )
 }
 
-/// Accumulates per-group results; shared by both engines so their merge
-/// semantics cannot drift apart.
+/// Accumulates one group's results.
 struct Accum {
     newly: Vec<usize>,
     cap: usize,
     counts: Option<Vec<usize>>,
-    first: Option<Vec<Option<usize>>>,
     matrix: Option<DetectionMatrix>,
-    activity: Option<Vec<usize>>,
 }
 
 impl Accum {
@@ -849,16 +760,8 @@ impl Accum {
             newly: Vec::new(),
             cap: opts.n_detect,
             counts: (opts.n_detect > 1).then(|| vec![0usize; n_faults]),
-            first: opts.first_detection.then(|| vec![None; n_faults]),
             matrix: opts.matrix.then(|| DetectionMatrix::new(n_faults, n_tests)),
-            activity: opts.activity.then(|| vec![0usize; n_tests]),
         }
-    }
-
-    /// Merge the detecting lanes of fault `fi` in aligned chunk `base`
-    /// (single-group path: lane `l` is test `base * 64 + l`).
-    fn record(&mut self, fi: usize, lanes: u64, base: usize, detected: &mut [bool]) {
-        self.record_span(fi, lanes, 0, base * 64, detected);
     }
 
     /// Merge the detecting lanes of fault `fi` for one group span: lane
@@ -871,29 +774,16 @@ impl Accum {
         local_base: usize,
         detected: &mut [bool],
     ) {
-        let first_idx = local_base + (lanes.trailing_zeros() - lane_lo) as usize;
-        match &mut self.counts {
+        let reached = match &mut self.counts {
             Some(counts) => {
-                if counts[fi] == 0 {
-                    if let Some(first) = &mut self.first {
-                        first[fi] = Some(first_idx);
-                    }
-                }
                 counts[fi] += lanes.count_ones() as usize;
-                if counts[fi] >= self.cap && !detected[fi] {
-                    detected[fi] = true;
-                    self.newly.push(fi);
-                }
+                counts[fi] >= self.cap
             }
-            None => {
-                if !detected[fi] {
-                    detected[fi] = true;
-                    self.newly.push(fi);
-                    if let Some(first) = &mut self.first {
-                        first[fi] = Some(first_idx);
-                    }
-                }
-            }
+            None => true,
+        };
+        if reached && !detected[fi] {
+            detected[fi] = true;
+            self.newly.push(fi);
         }
         if let Some(m) = &mut self.matrix {
             if lane_lo == 0 && local_base.is_multiple_of(64) {
@@ -909,39 +799,12 @@ impl Accum {
         }
     }
 
-    /// Add the fault-free launch→capture toggle counts of aligned chunk
-    /// `base` (single-group path).
-    fn record_activity(&mut self, gm: &GoodMachine, base: usize) {
-        self.record_activity_span(gm, gm.lanes_mask, 0, base * 64);
-    }
-
-    /// Add the toggle counts of one group span.
-    fn record_activity_span(
-        &mut self,
-        gm: &GoodMachine,
-        mask: u64,
-        lane_lo: u32,
-        local_base: usize,
-    ) {
-        if let Some(act) = &mut self.activity {
-            for (f1, f2) in gm.frame1.iter().zip(&gm.good) {
-                let mut d = (f1 ^ f2) & mask;
-                while d != 0 {
-                    act[local_base + (d.trailing_zeros() - lane_lo) as usize] += 1;
-                    d &= d - 1;
-                }
-            }
-        }
-    }
-
     fn finish(self) -> SimOutcome {
         let Accum {
             mut newly,
             cap,
             counts,
-            first,
             matrix,
-            activity,
         } = self;
         // Record order depends on which word first flipped each fault, so
         // normalise: outcomes must not depend on chunking or packing.
@@ -951,133 +814,8 @@ impl Accum {
             newly,
             complete: true,
             counts: counts.map(|c| c.into_iter().map(|v| v.min(cap)).collect()),
-            first_detection: first,
             matrix,
-            activity,
         }
-    }
-}
-
-/// Shared observability precomputation: a node is observable when it drives
-/// a primary output or a flip-flop D input.
-fn observability(net: &Netlist) -> Vec<bool> {
-    let mut observable = vec![false; net.num_nodes()];
-    for &o in net.outputs() {
-        observable[o.index()] = true;
-    }
-    for &d in net.dffs() {
-        observable[net.node(d).fanins()[0].index()] = true;
-    }
-    observable
-}
-
-/// The original single-threaded engine, kept as the correctness oracle for
-/// [`PackedParallelSim`] (see the `differential` and `grouped_differential`
-/// integration tests). Grouped batches are simulated one group at a time.
-#[derive(Debug)]
-pub struct SerialSim<'a> {
-    net: &'a Netlist,
-    observable: Vec<bool>,
-    path: EvalPath,
-    scratch: Vec<u64>,
-    prop: fbt_sim::kernel::FaultProp,
-    cones: Vec<Option<Box<[NodeId]>>>,
-}
-
-impl<'a> SerialSim<'a> {
-    /// Build a serial engine for one netlist, running on the cached
-    /// compiled kernel (precomputes observability).
-    pub fn new(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Compiled(Kernel::for_netlist(net)))
-    }
-
-    /// Build a serial engine on the gate-walking interpreter path — the
-    /// oracle the compiled kernels are differentially pinned against.
-    pub fn interpreted(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Interpreted)
-    }
-
-    fn with_path(net: &'a Netlist, path: EvalPath) -> Self {
-        SerialSim {
-            net,
-            observable: observability(net),
-            path,
-            scratch: Vec::new(),
-            prop: fbt_sim::kernel::FaultProp::default(),
-            cones: vec![None; net.num_nodes()],
-        }
-    }
-
-    /// Simulate one test set against one flag vector (the pre-grouped
-    /// engine loop, unchanged).
-    fn simulate_one(
-        &mut self,
-        tests: TestSet<'_>,
-        faults: &[TransitionFault],
-        detected: &mut [bool],
-        opts: &FaultSimOptions,
-    ) -> SimOutcome {
-        let net = self.net;
-        let mut accum = Accum::new(opts, faults.len(), tests.len());
-        // Borrow-friendly local worker view over this engine's state.
-        let mut worker = Worker {
-            scratch: std::mem::take(&mut self.scratch),
-            prop: std::mem::take(&mut self.prop),
-            cones: std::mem::take(&mut self.cones),
-        };
-        for base in 0..tests.len().div_ceil(64) {
-            let start = base * 64;
-            let end = (start + 64).min(tests.len());
-            let chunk = tests.pack(net, start, end);
-            let gm = eval_good(net, &chunk, &self.path);
-            accum.record_activity(&gm, base);
-            worker.load_good(&gm);
-            for (fi, fault) in faults.iter().enumerate() {
-                if opts.fault_dropping && detected[fi] {
-                    continue;
-                }
-                let lanes = fault_lanes(net, &self.observable, &gm, &mut worker, fault, &self.path);
-                if lanes != 0 {
-                    accum.record(fi, lanes, base, detected);
-                }
-            }
-        }
-        self.scratch = worker.scratch;
-        self.prop = worker.prop;
-        self.cones = worker.cones;
-        accum.finish()
-    }
-}
-
-impl FaultSimEngine for SerialSim<'_> {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn simulate_groups(
-        &mut self,
-        groups: &[TestGroup<'_>],
-        faults: &[TransitionFault],
-        baseline: &[bool],
-        opts: &FaultSimOptions,
-    ) -> Vec<SimOutcome> {
-        assert_eq!(faults.len(), baseline.len(), "flag vector length mismatch");
-        let mut outs = Vec::with_capacity(groups.len());
-        let mut stopped = false;
-        for group in groups {
-            if stopped {
-                outs.push(SimOutcome {
-                    complete: false,
-                    ..SimOutcome::default()
-                });
-                continue;
-            }
-            let mut det = baseline.to_vec();
-            let out = self.simulate_one(group.tests, faults, &mut det, opts);
-            stopped = opts.until_first_accept && out.newly_detected > 0;
-            outs.push(out);
-        }
-        outs
     }
 }
 
@@ -1090,45 +828,22 @@ impl FaultSimEngine for SerialSim<'_> {
 /// fault is propagated through it once, however many groups the word
 /// holds. Detection credit is lane-masked back to the owning groups, each
 /// with its own copy of the baseline flags, so fault dropping in one group
-/// never affects another — results are bit-identical to [`SerialSim`]
-/// running each group alone, for every batch shape and thread count.
+/// never affects another — every group's outcome is what simulating it
+/// alone would give, for every batch shape and thread count.
 #[derive(Debug)]
 pub struct PackedParallelSim<'a> {
     net: &'a Netlist,
-    observable: Vec<bool>,
-    path: EvalPath,
+    kernel: Arc<Kernel>,
     workers: Vec<Worker>,
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field(
-                "cached_cones",
-                &self.cones.iter().filter(|c| c.is_some()).count(),
-            )
-            .finish()
-    }
 }
 
 impl<'a> PackedParallelSim<'a> {
     /// Build a parallel engine for one netlist, running on the cached
     /// compiled kernel.
     pub fn new(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Compiled(Kernel::for_netlist(net)))
-    }
-
-    /// Build a parallel engine on the gate-walking interpreter path — the
-    /// oracle the compiled kernels are differentially pinned against.
-    pub fn interpreted(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Interpreted)
-    }
-
-    fn with_path(net: &'a Netlist, path: EvalPath) -> Self {
         PackedParallelSim {
             net,
-            observable: observability(net),
-            path,
+            kernel: Kernel::for_netlist(net),
             workers: Vec::new(),
         }
     }
@@ -1160,17 +875,16 @@ impl FaultSimEngine for PackedParallelSim<'_> {
     ) -> Vec<SimOutcome> {
         assert_eq!(faults.len(), baseline.len(), "flag vector length mismatch");
         let net = self.net;
-        // Cheap clone (an `Arc` at most), so worker threads can borrow it
-        // alongside the mutable borrow of `self.workers`.
-        let path = self.path.clone();
-        let path = &path;
+        // Borrowed separately from `self.workers`, which the workers take
+        // mutably.
+        let kernel = &*self.kernel;
         let (offsets, spans) = group_layout(groups);
         let total = *offsets.last().unwrap();
         let threads = Self::resolve_threads(opts, faults.len());
         while self.workers.len() < threads {
-            self.workers.push(Worker::new(net));
+            self.workers.push(Worker::default());
         }
-        let observable = &self.observable;
+        let dropping = opts.drops_faults();
         let shard = faults.len().div_ceil(threads).max(1);
 
         // Per-group detection flags (baseline copies) and accumulators:
@@ -1190,10 +904,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
         for (w, spans_w) in spans.iter().enumerate() {
             let n_tests = 64.min(total - w * 64);
             let chunk = pack_word(net, groups, spans_w, n_tests);
-            let gm = eval_good(net, &chunk, path);
-            for sp in spans_w {
-                accums[sp.group].record_activity_span(&gm, sp.mask(), sp.lane_lo, sp.local_base);
-            }
+            let gm = eval_good(net, &chunk, kernel);
 
             if threads == 1 {
                 // Inline fast path: no spawn overhead.
@@ -1202,27 +913,19 @@ impl FaultSimEngine for PackedParallelSim<'_> {
                 for (fi, fault) in faults.iter().enumerate() {
                     // Word-level dropping: skip only when every group with
                     // lanes here has dropped the fault.
-                    if opts.fault_dropping && spans_w.iter().all(|sp| dets[sp.group][fi]) {
+                    if dropping && spans_w.iter().all(|sp| dets[sp.group][fi]) {
                         continue;
                     }
-                    let lanes = fault_lanes(net, observable, &gm, worker, fault, path);
+                    let lanes = fault_lanes(kernel, &gm, worker, fault);
                     if lanes != 0 {
-                        record_hit(
-                            spans_w,
-                            &mut dets,
-                            &mut accums,
-                            opts.fault_dropping,
-                            fi,
-                            lanes,
-                        );
+                        record_hit(spans_w, &mut dets, &mut accums, dropping, fi, lanes);
                     }
                 }
             } else {
                 // Shard the fault list; workers read a snapshot of the
-                // per-group flags (dropping takes effect between words, as
-                // in the serial engine) and report (fault, lanes) hits.
+                // per-group flags (dropping takes effect between words) and
+                // report (fault, lanes) hits.
                 let flags: &[Vec<bool>] = &dets;
-                let dropping = opts.fault_dropping;
                 let hits: Vec<Vec<(usize, u64)>> = std::thread::scope(|s| {
                     let handles: Vec<_> = self
                         .workers
@@ -1241,8 +944,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
                                     {
                                         continue;
                                     }
-                                    let lanes =
-                                        fault_lanes(net, observable, gm, worker, fault, path);
+                                    let lanes = fault_lanes(kernel, gm, worker, fault);
                                     if lanes != 0 {
                                         hits.push((offset + i, lanes));
                                     }
@@ -1258,14 +960,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
                 });
                 for shard_hits in hits {
                     for (fi, lanes) in shard_hits {
-                        record_hit(
-                            spans_w,
-                            &mut dets,
-                            &mut accums,
-                            opts.fault_dropping,
-                            fi,
-                            lanes,
-                        );
+                        record_hit(spans_w, &mut dets, &mut accums, dropping, fi, lanes);
                     }
                 }
             }
@@ -1305,6 +1000,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::{all_transition_faults, sim::coverage_percent, sim::n_detect_coverage};
     use fbt_netlist::rng::Rng;
     use fbt_netlist::s27;
@@ -1335,73 +1031,19 @@ mod tests {
             .newly_detected
     }
 
-    /// Reference scalar implementation: simulate the whole faulty circuit.
-    fn detects_reference(net: &Netlist, t: &BroadsideTest, f: &TransitionFault) -> bool {
-        let mut f1 = vec![false; net.num_nodes()];
-        for (i, &id) in net.inputs().iter().enumerate() {
-            f1[id.index()] = t.v1.get(i);
-        }
-        for (i, &id) in net.dffs().iter().enumerate() {
-            f1[id.index()] = t.scan_in.get(i);
-        }
-        comb::eval_scalar(net, &mut f1);
-        if f1[f.line.index()] != f.transition.initial_value() {
-            return false;
-        }
-        let mut good = vec![false; net.num_nodes()];
-        for (i, &id) in net.inputs().iter().enumerate() {
-            good[id.index()] = t.v2.get(i);
-        }
-        for &d in net.dffs() {
-            good[d.index()] = f1[net.node(d).fanins()[0].index()];
-        }
-        comb::eval_scalar(net, &mut good);
-        let mut faulty = good.clone();
-        for (i, &id) in net.inputs().iter().enumerate() {
-            faulty[id.index()] = t.v2.get(i);
-        }
-        faulty[f.line.index()] = f.transition.initial_value();
-        for &id in net.eval_order() {
-            if id == f.line {
-                continue;
-            }
-            let node = net.node(id);
-            let vals: Vec<bool> = node.fanins().iter().map(|x| faulty[x.index()]).collect();
-            faulty[id.index()] = node.kind().eval(&vals);
-        }
-        let po_diff = net
-            .outputs()
-            .iter()
-            .any(|&o| good[o.index()] != faulty[o.index()]);
-        let ns_diff = net.dffs().iter().any(|&d| {
-            let di = net.node(d).fanins()[0].index();
-            good[di] != faulty[di]
-        });
-        po_diff || ns_diff
-    }
-
-    fn engines<'a>(net: &'a Netlist) -> Vec<Box<dyn FaultSimEngine + 'a>> {
-        vec![
-            Box::new(SerialSim::new(net)),
-            Box::new(PackedParallelSim::new(net)),
-        ]
-    }
-
     #[test]
-    fn both_engines_match_reference_on_s27() {
+    fn engine_matches_the_scalar_oracle_on_s27() {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(40, 4, 3, 99);
-        for mut engine in engines(&net) {
-            for t in &tests {
-                for f in &faults {
-                    assert_eq!(
-                        engine.detects(t, f),
-                        detects_reference(&net, t, f),
-                        "{} fault {f} test {t:?}",
-                        engine.name()
-                    );
-                }
+        let mut engine = PackedParallelSim::new(&net);
+        for t in &tests {
+            for f in &faults {
+                assert_eq!(
+                    engine.detects(t, f),
+                    oracle::detects(&net, t, f),
+                    "fault {f} test {t:?}"
+                );
             }
         }
     }
@@ -1411,44 +1053,13 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(128, 4, 3, 7);
-        for mut engine in engines(&net) {
-            let mut detected = vec![false; faults.len()];
-            let n1 = run_set(engine.as_mut(), (&tests[..]).into(), &faults, &mut detected);
-            assert_eq!(n1, detected.iter().filter(|&&d| d).count());
-            let n2 = run_set(engine.as_mut(), (&tests[..]).into(), &faults, &mut detected);
-            assert_eq!(n2, 0, "{}: re-run detects nothing new", engine.name());
-            assert!(coverage_percent(&detected) > 50.0);
-        }
-    }
-
-    #[test]
-    fn first_detection_indices_are_earliest() {
-        let net = s27();
-        let faults = all_transition_faults(&net);
-        let tests = random_tests(100, 4, 3, 21);
         let mut engine = PackedParallelSim::new(&net);
-        let mut det = vec![false; faults.len()];
-        let first = engine
-            .simulate(
-                (&tests[..]).into(),
-                &faults,
-                &mut det,
-                &FaultSimOptions::new().first_detection(true),
-            )
-            .first_detection
-            .expect("first detections were requested");
-        let mut oracle = SerialSim::new(&net);
-        for (fi, f) in faults.iter().enumerate() {
-            if let Some(ti) = first[fi] {
-                assert!(det[fi]);
-                for (tj, t) in tests.iter().enumerate().take(ti) {
-                    assert!(!oracle.detects(t, f), "test {tj} already detects {f}");
-                }
-                assert!(oracle.detects(&tests[ti], f));
-            } else {
-                assert!(!det[fi]);
-            }
-        }
+        let mut detected = vec![false; faults.len()];
+        let n1 = run_set(&mut engine, (&tests[..]).into(), &faults, &mut detected);
+        assert_eq!(n1, detected.iter().filter(|&&d| d).count());
+        let n2 = run_set(&mut engine, (&tests[..]).into(), &faults, &mut detected);
+        assert_eq!(n2, 0, "re-run detects nothing new");
+        assert!(coverage_percent(&detected) > 50.0);
     }
 
     #[test]
@@ -1456,24 +1067,18 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(70, 4, 3, 5);
-        for mut engine in engines(&net) {
-            let mut det_batch = vec![false; faults.len()];
-            run_set(
-                engine.as_mut(),
-                (&tests[..]).into(),
-                &faults,
-                &mut det_batch,
-            );
-            let mut det_single = vec![false; faults.len()];
-            for t in &tests {
-                for (fi, f) in faults.iter().enumerate() {
-                    if !det_single[fi] && engine.detects(t, f) {
-                        det_single[fi] = true;
-                    }
+        let mut engine = PackedParallelSim::new(&net);
+        let mut det_batch = vec![false; faults.len()];
+        run_set(&mut engine, (&tests[..]).into(), &faults, &mut det_batch);
+        let mut det_single = vec![false; faults.len()];
+        for t in &tests {
+            for (fi, f) in faults.iter().enumerate() {
+                if !det_single[fi] && engine.detects(t, f) {
+                    det_single[fi] = true;
                 }
             }
-            assert_eq!(det_batch, det_single, "{}", engine.name());
         }
+        assert_eq!(det_batch, det_single);
     }
 
     #[test]
@@ -1485,13 +1090,12 @@ mod tests {
             .iter()
             .map(|t| TwoPatternTest::from_broadside(&net, t))
             .collect();
-        for mut engine in engines(&net) {
-            let mut det_a = vec![false; faults.len()];
-            run_set(engine.as_mut(), (&tests[..]).into(), &faults, &mut det_a);
-            let mut det_b = vec![false; faults.len()];
-            run_set(engine.as_mut(), (&expanded[..]).into(), &faults, &mut det_b);
-            assert_eq!(det_a, det_b, "{}", engine.name());
-        }
+        let mut engine = PackedParallelSim::new(&net);
+        let mut det_a = vec![false; faults.len()];
+        run_set(&mut engine, (&tests[..]).into(), &faults, &mut det_a);
+        let mut det_b = vec![false; faults.len()];
+        run_set(&mut engine, (&expanded[..]).into(), &faults, &mut det_b);
+        assert_eq!(det_a, det_b);
     }
 
     #[test]
@@ -1524,20 +1128,19 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(120, 4, 3, 55);
-        for mut engine in engines(&net) {
-            let counts = engine.n_detect_profile(&tests, &faults, 5);
-            let mut detected = vec![false; faults.len()];
-            run_set(engine.as_mut(), (&tests[..]).into(), &faults, &mut detected);
-            for (c, d) in counts.iter().zip(&detected) {
-                assert_eq!(*c >= 1, *d, "1-detect must agree with plain detection");
-                assert!(*c <= 5, "cap respected");
-            }
-            let c1 = n_detect_coverage(&counts, 1);
-            let c3 = n_detect_coverage(&counts, 3);
-            let c5 = n_detect_coverage(&counts, 5);
-            assert!(c1 >= c3 && c3 >= c5);
-            assert_eq!(c1, coverage_percent(&detected));
+        let mut engine = PackedParallelSim::new(&net);
+        let counts = engine.n_detect_profile(&tests, &faults, 5);
+        let mut detected = vec![false; faults.len()];
+        run_set(&mut engine, (&tests[..]).into(), &faults, &mut detected);
+        for (c, d) in counts.iter().zip(&detected) {
+            assert_eq!(*c >= 1, *d, "1-detect must agree with plain detection");
+            assert!(*c <= 5, "cap respected");
         }
+        let c1 = n_detect_coverage(&counts, 1);
+        let c3 = n_detect_coverage(&counts, 3);
+        let c5 = n_detect_coverage(&counts, 5);
+        assert!(c1 >= c3 && c3 >= c5);
+        assert_eq!(c1, coverage_percent(&detected));
     }
 
     #[test]
@@ -1545,12 +1148,11 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(70, 4, 3, 8);
-        for mut engine in engines(&net) {
-            let counts = engine.n_detect_profile(&tests, &faults, 1_000);
-            for (fi, f) in faults.iter().enumerate() {
-                let brute = tests.iter().filter(|t| engine.detects(t, f)).count();
-                assert_eq!(counts[fi], brute, "fault {f}");
-            }
+        let mut engine = PackedParallelSim::new(&net);
+        let counts = engine.n_detect_profile(&tests, &faults, 1_000);
+        for (fi, f) in faults.iter().enumerate() {
+            let brute = tests.iter().filter(|t| engine.detects(t, f)).count();
+            assert_eq!(counts[fi], brute, "fault {f}");
         }
     }
 
@@ -1563,12 +1165,11 @@ mod tests {
         let matrix = engine.detection_matrix(&tests, &faults);
         assert_eq!(matrix.num_faults(), faults.len());
         assert_eq!(matrix.num_tests(), tests.len());
-        let mut oracle = SerialSim::new(&net);
         for (fi, f) in faults.iter().enumerate() {
             for (ti, t) in tests.iter().enumerate() {
                 assert_eq!(
                     matrix.detects(fi, ti),
-                    oracle.detects(t, f),
+                    oracle::detects(&net, t, f),
                     "fault {f} test {ti}"
                 );
             }
@@ -1580,13 +1181,10 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(200, 4, 3, 41);
-        let mut reference = vec![false; faults.len()];
-        SerialSim::new(&net).simulate(
-            TestSet::Broadside(&tests),
-            &faults,
-            &mut reference,
-            &FaultSimOptions::new(),
-        );
+        let reference: Vec<bool> = faults
+            .iter()
+            .map(|f| tests.iter().any(|t| oracle::detects(&net, t, f)))
+            .collect();
         for threads in [1, 2, 3, 7] {
             let mut engine = PackedParallelSim::new(&net);
             let mut detected = vec![false; faults.len()];
@@ -1604,74 +1202,43 @@ mod tests {
     }
 
     #[test]
-    fn activity_accounting_matches_scalar_toggles() {
-        let net = s27();
-        let faults = all_transition_faults(&net);
-        let tests = random_tests(10, 4, 3, 3);
-        let mut engine = PackedParallelSim::new(&net);
-        let mut detected = vec![false; faults.len()];
-        let out = engine.simulate(
-            TestSet::Broadside(&tests),
-            &faults,
-            &mut detected,
-            &FaultSimOptions::new().activity(true),
-        );
-        let activity = out.activity.expect("activity requested");
-        assert_eq!(activity.len(), tests.len());
-        for (t, &toggles) in tests.iter().zip(&activity) {
-            // Scalar reference: count nodes differing between the two frames.
-            let mut f1 = vec![false; net.num_nodes()];
-            for (i, &id) in net.inputs().iter().enumerate() {
-                f1[id.index()] = t.v1.get(i);
-            }
-            for (i, &id) in net.dffs().iter().enumerate() {
-                f1[id.index()] = t.scan_in.get(i);
-            }
-            comb::eval_scalar(&net, &mut f1);
-            let mut f2 = vec![false; net.num_nodes()];
-            for (i, &id) in net.inputs().iter().enumerate() {
-                f2[id.index()] = t.v2.get(i);
-            }
-            for &d in net.dffs() {
-                f2[d.index()] = f1[net.node(d).fanins()[0].index()];
-            }
-            comb::eval_scalar(&net, &mut f2);
-            let expect = (0..net.num_nodes()).filter(|&i| f1[i] != f2[i]).count();
-            assert_eq!(toggles, expect, "test {t:?}");
-        }
-    }
-
-    #[test]
     fn options_builder_roundtrip() {
         let opts = FaultSimOptions::new()
             .n_detect(7)
             .threads(3)
             .fault_dropping(false)
-            .first_detection(true)
-            .activity(true)
             .until_first_accept(true);
         assert_eq!(opts.n_detect_cap(), 7);
         assert_eq!(opts.thread_count(), 3);
         assert!(!opts.drops_faults());
         assert!(opts.stops_at_first_accept());
-        let m = FaultSimOptions::new().detection_matrix(true);
-        assert!(!m.drops_faults(), "matrix recording implies no dropping");
-        assert!(!m.stops_at_first_accept());
+        assert!(FaultSimOptions::new().drops_faults());
+        for m in [
+            FaultSimOptions::new().detection_matrix(true),
+            FaultSimOptions::new()
+                .detection_matrix(true)
+                .fault_dropping(true),
+            FaultSimOptions::new()
+                .fault_dropping(true)
+                .detection_matrix(true),
+        ] {
+            assert!(!m.drops_faults(), "matrix recording implies no dropping");
+            assert!(!m.stops_at_first_accept());
+        }
     }
 
     #[test]
     fn empty_test_set_is_a_no_op() {
         let net = s27();
         let faults = all_transition_faults(&net);
-        for mut engine in engines(&net) {
-            let mut detected = vec![false; faults.len()];
-            let empty: &[BroadsideTest] = &[];
-            assert_eq!(
-                run_set(engine.as_mut(), empty.into(), &faults, &mut detected),
-                0
-            );
-            assert!(detected.iter().all(|&d| !d));
-        }
+        let mut engine = PackedParallelSim::new(&net);
+        let mut detected = vec![false; faults.len()];
+        let empty: &[BroadsideTest] = &[];
+        assert_eq!(
+            run_set(&mut engine, empty.into(), &faults, &mut detected),
+            0
+        );
+        assert!(detected.iter().all(|&d| !d));
     }
 
     #[test]
@@ -1679,24 +1246,23 @@ mod tests {
         let net = s27();
         let faults = all_transition_faults(&net);
         let tests = random_tests(90, 4, 3, 17);
+        let mut engine = PackedParallelSim::new(&net);
         for opts in [
             FaultSimOptions::new(),
-            FaultSimOptions::new().n_detect(4).first_detection(true),
-            FaultSimOptions::new().fault_dropping(false).activity(true),
+            FaultSimOptions::new().n_detect(4),
+            FaultSimOptions::new().fault_dropping(false),
         ] {
-            for mut engine in engines(&net) {
-                let baseline = vec![false; faults.len()];
-                let groups = [TestGroup::new(&tests[..])];
-                let grouped = engine
-                    .simulate_groups(&groups, &faults, &baseline, &opts)
-                    .pop()
-                    .unwrap();
-                let mut det = baseline.clone();
-                let single = engine.simulate((&tests[..]).into(), &faults, &mut det, &opts);
-                assert_eq!(grouped, single, "{}", engine.name());
-                for &fi in &grouped.newly {
-                    assert!(det[fi]);
-                }
+            let baseline = vec![false; faults.len()];
+            let groups = [TestGroup::new(&tests[..])];
+            let grouped = engine
+                .simulate_groups(&groups, &faults, &baseline, &opts)
+                .pop()
+                .unwrap();
+            let mut det = baseline.clone();
+            let single = engine.simulate((&tests[..]).into(), &faults, &mut det, &opts);
+            assert_eq!(grouped, single);
+            for &fi in &grouped.newly {
+                assert!(det[fi]);
             }
         }
     }
@@ -1724,27 +1290,22 @@ mod tests {
         for (i, b) in baseline.iter_mut().enumerate() {
             *b = i % 5 == 0;
         }
+        let mut engine = PackedParallelSim::new(&net);
         for opts in [
             FaultSimOptions::new(),
             FaultSimOptions::new().fault_dropping(false),
-            FaultSimOptions::new().n_detect(4).first_detection(true),
-            FaultSimOptions::new()
-                .detection_matrix(true)
-                .activity(true)
-                .first_detection(true),
+            FaultSimOptions::new().n_detect(4),
+            FaultSimOptions::new().detection_matrix(true),
         ] {
-            let mut oracle = SerialSim::new(&net);
             let standalone: Vec<SimOutcome> = groups
                 .iter()
                 .map(|g| {
                     let mut det = baseline.clone();
-                    oracle.simulate(g.tests, &faults, &mut det, &opts)
+                    engine.simulate(g.tests, &faults, &mut det, &opts)
                 })
                 .collect();
-            for mut engine in engines(&net) {
-                let outs = engine.simulate_groups(&groups, &faults, &baseline, &opts);
-                assert_eq!(outs, standalone, "{} opts {opts:?}", engine.name());
-            }
+            let outs = engine.simulate_groups(&groups, &faults, &baseline, &opts);
+            assert_eq!(outs, standalone, "opts {opts:?}");
         }
     }
 
@@ -1764,18 +1325,11 @@ mod tests {
         ];
         let baseline = vec![false; faults.len()];
         let opts = FaultSimOptions::new().until_first_accept(true);
-        let mut expected: Option<Vec<SimOutcome>> = None;
-        for mut engine in engines(&net) {
-            let outs = engine.simulate_groups(&groups, &faults, &baseline, &opts);
-            assert!(outs[0].complete && outs[0].newly_detected == 0);
-            assert!(outs[1].complete && outs[1].newly_detected > 0);
-            assert!(!outs[2].complete, "groups after the acceptor are cut off");
-            assert_eq!(outs[2].newly_detected, 0);
-            match &expected {
-                None => expected = Some(outs),
-                Some(e) => assert_eq!(&outs, e, "{}", engine.name()),
-            }
-        }
+        let outs = PackedParallelSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts);
+        assert!(outs[0].complete && outs[0].newly_detected == 0);
+        assert!(outs[1].complete && outs[1].newly_detected > 0);
+        assert!(!outs[2].complete, "groups after the acceptor are cut off");
+        assert_eq!(outs[2].newly_detected, 0);
     }
 
     #[test]

@@ -260,7 +260,7 @@ mod tests {
         // NOT detected by this test, although the path delay fault is
         // weak-non-robustly sensitized.
         use crate::engine::FaultSimEngine;
-        let mut fsim = crate::engine::SerialSim::new(&net);
+        let mut fsim = crate::engine::PackedParallelSim::new(&net);
         let h = net.find("h").unwrap();
         let broadside = crate::BroadsideTest::new(t.s1.clone(), t.v1.clone(), t.v2.clone());
         assert!(!fsim.detects(

@@ -1,10 +1,9 @@
 //! Coverage metrics over detection flags and n-detect profiles.
 //!
-//! The simulator itself lives in [`crate::engine`] behind the
-//! [`FaultSimEngine`](crate::engine::FaultSimEngine) trait — use
-//! [`SerialSim`](crate::engine::SerialSim) for oracle-grade serial
-//! simulation or [`PackedParallelSim`](crate::engine::PackedParallelSim)
-//! for the multi-threaded PPSFP engine.
+//! The simulator itself lives in [`crate::engine`]: the
+//! [`FaultSimEngine`](crate::engine::FaultSimEngine) trait, implemented by
+//! the multi-threaded PPSFP engine
+//! [`PackedParallelSim`](crate::engine::PackedParallelSim).
 
 /// Fault coverage: detected / total, in percent.
 pub fn coverage_percent(detected: &[bool]) -> f64 {

@@ -1,14 +1,17 @@
 //! Group-isolation differential tests: `simulate_groups` on a batch of N
-//! candidate groups must be bit-identical to N *independent* `SerialSim`
-//! runs, each starting from the shared baseline flags. This is the
-//! acceptance gate for the candidate-packed speculation path: the packed
-//! engine interleaves tests from different groups in the same 64-lane
-//! words and lane-masks fault dropping per group, and none of that may be
-//! observable in any outcome field.
+//! candidate groups must give, group by group, what the scalar oracle in
+//! `common` computes for that group alone from the shared baseline flags.
+//! This is the acceptance gate for the candidate-packed speculation path:
+//! the packed engine interleaves tests from different groups in the same
+//! 64-lane words and lane-masks fault dropping per group, and none of that
+//! may be observable in any outcome field.
 
+mod common;
+
+use common::{check_all, Reference};
 use fbt_fault::{
     all_transition_faults, collapse, BroadsideTest, FaultSimEngine, FaultSimOptions,
-    PackedParallelSim, SerialSim, SimOutcome, TestGroup, TransitionFault, TwoPatternTest,
+    PackedParallelSim, TestGroup, TransitionFault, TwoPatternTest,
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::synth::CircuitSpec;
@@ -68,27 +71,27 @@ fn group_lengths(batch: usize, rng: &mut Rng) -> Vec<usize> {
         .collect()
 }
 
-/// The oracle: each group alone through the serial engine, from a copy of
-/// the baseline.
-fn independent_runs(
+/// Run one grouped call at every thread count, each on a fresh engine, and
+/// compare it with the oracle.
+fn assert_matches_oracle(
     net: &Netlist,
     groups: &[TestGroup<'_>],
     faults: &[TransitionFault],
+    reference: &Reference,
     baseline: &[bool],
     opts: &FaultSimOptions,
-) -> Vec<SimOutcome> {
-    let mut serial = SerialSim::new(net);
-    groups
-        .iter()
-        .map(|g| {
-            let mut det = baseline.to_vec();
-            serial.simulate(g.tests, faults, &mut det, opts)
-        })
-        .collect()
+) {
+    let want = reference.outcomes(baseline, opts);
+    for threads in THREADS {
+        let mut packed = PackedParallelSim::new(net);
+        let outs = packed.simulate_groups(groups, faults, baseline, &opts.clone().threads(threads));
+        let ctx = format!("{} {opts:?} threads={threads}", net.name());
+        check_all(&outs, &want, &ctx);
+    }
 }
 
 #[test]
-fn grouped_equals_independent_serial_runs() {
+fn grouped_equals_independent_oracle_runs() {
     let mut rng = Rng::new(11);
     for net in circuits() {
         let faults = faults_for(&net);
@@ -101,43 +104,21 @@ fn grouped_equals_independent_serial_runs() {
                 .map(|&n| random_tests(&net, n, &mut rng))
                 .collect();
             let groups: Vec<TestGroup<'_>> = sets.iter().map(|s| TestGroup::new(&s[..])).collect();
+            let reference = Reference::new(&net, &groups, &faults);
             for n_detect in [1usize, 4] {
                 for dropping in [true, false] {
                     let opts = FaultSimOptions::new()
                         .n_detect(n_detect)
                         .fault_dropping(dropping);
-                    let oracle = independent_runs(&net, &groups, &faults, &baseline, &opts);
-                    let mut serial = SerialSim::new(&net);
-                    assert_eq!(
-                        serial.simulate_groups(&groups, &faults, &baseline, &opts),
-                        oracle,
-                        "serial grouped: {} batch={batch} n={n_detect} drop={dropping}",
-                        net.name()
-                    );
-                    for threads in THREADS {
-                        let mut packed = PackedParallelSim::new(&net);
-                        assert_eq!(
-                            packed.simulate_groups(
-                                &groups,
-                                &faults,
-                                &baseline,
-                                &opts.clone().threads(threads)
-                            ),
-                            oracle,
-                            "packed grouped: {} batch={batch} n={n_detect} drop={dropping} \
-                             threads={threads}",
-                            net.name()
-                        );
-                    }
+                    assert_matches_oracle(&net, &groups, &faults, &reference, &baseline, &opts);
                 }
             }
         }
     }
 }
 
-/// Group-local bookkeeping (first-detection indices, detection matrices,
-/// switching activity) must come out as if each group were simulated on
-/// its own, despite being interleaved into shared words.
+/// Group-local detection matrices must come out as if each group were
+/// simulated on its own, despite being interleaved into shared words.
 #[test]
 fn grouped_bookkeeping_is_group_local() {
     let mut rng = Rng::new(21);
@@ -150,17 +131,11 @@ fn grouped_bookkeeping_is_group_local() {
             .map(|&n| random_tests(&net, n, &mut rng))
             .collect();
         let groups: Vec<TestGroup<'_>> = sets.iter().map(|s| TestGroup::new(&s[..])).collect();
-        let opts = FaultSimOptions::new()
-            .detection_matrix(true)
-            .first_detection(true)
-            .activity(true);
-        let oracle = independent_runs(&net, &groups, &faults, &baseline, &opts);
-        for threads in THREADS {
-            let mut packed = PackedParallelSim::new(&net);
-            let outs =
-                packed.simulate_groups(&groups, &faults, &baseline, &opts.clone().threads(threads));
-            assert_eq!(outs, oracle, "{} threads={threads}", net.name());
-        }
+        let reference = Reference::new(&net, &groups, &faults);
+        let opts = FaultSimOptions::new().detection_matrix(true);
+        assert_matches_oracle(&net, &groups, &faults, &reference, &baseline, &opts);
+        let outs = PackedParallelSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts);
+        assert!(outs.iter().all(|o| o.matrix.is_some()), "{}", net.name());
     }
 }
 
@@ -191,21 +166,21 @@ fn mixed_test_kind_groups_share_words() {
             TestGroup::new(&tp[..]),
             TestGroup::new(&bs2[..]),
         ];
-        let opts = FaultSimOptions::new();
-        let oracle = independent_runs(&net, &groups, &faults, &baseline, &opts);
-        for threads in THREADS {
-            let mut packed = PackedParallelSim::new(&net);
-            let outs =
-                packed.simulate_groups(&groups, &faults, &baseline, &opts.clone().threads(threads));
-            assert_eq!(outs, oracle, "{} threads={threads}", net.name());
-        }
+        let reference = Reference::new(&net, &groups, &faults);
+        assert_matches_oracle(
+            &net,
+            &groups,
+            &faults,
+            &reference,
+            &baseline,
+            &FaultSimOptions::new(),
+        );
     }
 }
 
 /// `until_first_accept` returns complete outcomes up to and including the
-/// first accepting group, cut-off markers after it — identically on both
-/// engines and every thread count — and the complete prefix matches the
-/// unrestricted grouped call.
+/// first accepting group, cut-off markers after it — at every thread count
+/// — and the complete prefix matches the unrestricted grouped call.
 #[test]
 fn until_first_accept_prefix_semantics() {
     let mut rng = Rng::new(41);
@@ -224,32 +199,26 @@ fn until_first_accept_prefix_semantics() {
             TestGroup::new(&c[..]),
             TestGroup::new(&d[..]),
         ];
-        let full_opts = FaultSimOptions::new();
-        let full = independent_runs(&net, &groups, &faults, &baseline, &full_opts);
+        let reference = Reference::new(&net, &groups, &faults);
+        let full = reference.outcomes(&baseline, &FaultSimOptions::new());
         let acceptor = full
             .iter()
-            .position(|o| o.newly_detected > 0)
+            .position(|o| !o.newly.is_empty())
             .expect("some group must accept");
         let opts = FaultSimOptions::new().until_first_accept(true);
-        let mut reference: Option<Vec<SimOutcome>> = None;
-        let mut serial = SerialSim::new(&net);
-        let serial_outs = serial.simulate_groups(&groups, &faults, &baseline, &opts);
-        for outs in std::iter::once(serial_outs).chain(THREADS.iter().map(|&threads| {
+        assert_matches_oracle(&net, &groups, &faults, &reference, &baseline, &opts);
+        for threads in THREADS {
             let mut packed = PackedParallelSim::new(&net);
-            packed.simulate_groups(&groups, &faults, &baseline, &opts.clone().threads(threads))
-        })) {
+            let outs =
+                packed.simulate_groups(&groups, &faults, &baseline, &opts.clone().threads(threads));
             for (g, out) in outs.iter().enumerate() {
+                let ctx = format!("{} group {g} threads={threads}", net.name());
                 if g <= acceptor {
-                    assert!(out.complete, "{} group {g}", net.name());
-                    assert_eq!(out, &full[g], "{} group {g}", net.name());
+                    full[g].check(out, &ctx);
                 } else {
-                    assert!(!out.complete, "{} group {g}", net.name());
-                    assert_eq!(out.newly_detected, 0);
+                    assert!(!out.complete, "{ctx}");
+                    assert_eq!(out.newly_detected, 0, "{ctx}");
                 }
-            }
-            match &reference {
-                None => reference = Some(outs),
-                Some(r) => assert_eq!(&outs, r, "{}", net.name()),
             }
         }
 
@@ -258,5 +227,29 @@ fn until_first_accept_prefix_semantics() {
         let mut packed = PackedParallelSim::new(&net);
         let outs = packed.simulate_groups(&groups, &faults, &saturated, &opts);
         assert!(outs.iter().all(|o| o.complete && o.newly_detected == 0));
+    }
+}
+
+/// An s27 test list split into 1, 4 and 16 groups, under plain runs,
+/// `until_first_accept`, and n-detect counts with a detection matrix,
+/// against the uncollapsed fault list.
+#[test]
+fn s27_batches_match_the_oracle() {
+    let net = s27();
+    let faults = all_transition_faults(&net);
+    let mut rng = Rng::new(0xC01D);
+    let tests = random_tests(&net, 96, &mut rng);
+    let baseline = vec![false; faults.len()];
+    for batch in [1usize, 4, 16] {
+        let per = tests.len().div_ceil(batch);
+        let groups: Vec<TestGroup<'_>> = tests.chunks(per).map(TestGroup::new).collect();
+        let reference = Reference::new(&net, &groups, &faults);
+        for opts in [
+            FaultSimOptions::new(),
+            FaultSimOptions::new().until_first_accept(true),
+            FaultSimOptions::new().n_detect(3).detection_matrix(true),
+        ] {
+            assert_matches_oracle(&net, &groups, &faults, &reference, &baseline, &opts);
+        }
     }
 }

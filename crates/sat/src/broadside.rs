@@ -212,14 +212,14 @@ pub fn solve_tpdf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbt_fault::engine::{FaultSimEngine, SerialSim};
+    use fbt_fault::engine::{FaultSimEngine, PackedParallelSim};
     use fbt_fault::{all_transition_faults, Transition};
     use fbt_netlist::{s27, GateKind, NetlistBuilder};
 
     #[test]
     fn every_sat_test_detects_its_fault_on_s27() {
         let net = s27();
-        let mut sim = SerialSim::new(&net);
+        let mut sim = PackedParallelSim::new(&net);
         let mut sat = 0;
         for fault in all_transition_faults(&net) {
             let (verdict, _) = solve_transition_fault(&net, &fault, None);
@@ -284,7 +284,7 @@ mod tests {
         let (verdict, _) = enc.solve(None);
         if let DetectionVerdict::Test(t) = &verdict {
             assert_eq!(t.scan_in, s1);
-            assert!(SerialSim::new(&net).detects(t, &fault));
+            assert!(PackedParallelSim::new(&net).detects(t, &fault));
         }
     }
 
@@ -296,7 +296,7 @@ mod tests {
         // With one conflict allowed the query either finishes trivially or
         // reports Unknown — never a wrong verdict.
         if let DetectionVerdict::Test(t) = &limited {
-            assert!(SerialSim::new(&net).detects(t, &fault));
+            assert!(PackedParallelSim::new(&net).detects(t, &fault));
         }
         let (full, _) = solve_transition_fault(&net, &fault, None);
         assert_ne!(full, DetectionVerdict::Unknown);
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(faults.len(), 56);
         let mut testable = 0;
         let mut untestable = 0;
-        let mut sim = SerialSim::new(&net);
+        let mut sim = PackedParallelSim::new(&net);
         for f in &faults {
             let (verdict, _) = solve_tpdf(&net, f, None);
             match verdict {

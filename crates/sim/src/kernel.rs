@@ -4,14 +4,11 @@
 //! indirections per gate per evaluated cycle, and every loop of the
 //! Chapter-4 generation flow bottoms out in that walk. A [`Kernel`]
 //! flattens a netlist's levelized evaluation order **once** into a
-//! branch-light bytecode program and then serves every evaluation flavour
+//! branch-light bytecode program and then serves both evaluation flavours
 //! from it:
 //!
 //! * [`Kernel::eval2`] — 64-pattern packed two-valued evaluation,
 //!   bit-identical to [`crate::comb::eval_packed`];
-//! * [`Kernel::eval3`] — 64-lane packed three-valued (X-propagating)
-//!   evaluation in a dual-rail encoding, value-identical to
-//!   [`crate::tv::eval_tv`];
 //! * [`Kernel::propagate`] — event-driven single-fault propagation with a
 //!   patch slot at the fault site, the inner loop of broadside fault
 //!   simulation.
@@ -29,10 +26,6 @@
 //! changes a written value — NOT/BUF nodes still execute their own op, so
 //! the full program stays value-complete for switching-activity and
 //! observability consumers — it only shortens dependency chains.
-//!
-//! In three-valued evaluation a value is two rails: `v1` = "can be 1",
-//! `v0` = "can be 0" (both = X). Operand/output inversion is a rail swap,
-//! so the same canonical program serves both domains.
 //!
 //! # Run schedule
 //!
@@ -83,8 +76,8 @@
 //! # The interpreter stays the oracle
 //!
 //! The gate-walking interpreters ([`crate::comb::eval_packed`],
-//! [`crate::comb::eval_packed_cone`], [`crate::tv::eval_tv`]) remain the
-//! reference implementations; the differential suites pin the compiled
+//! [`crate::comb::eval_packed_cone`]) remain the reference
+//! implementations; the differential suites pin the compiled
 //! kernels to them bit-for-bit on every catalog circuit and on random
 //! netlists.
 
@@ -93,8 +86,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use fbt_netlist::{GateKind, Netlist, NodeId};
-
-use crate::Trit;
 
 // Fused two-input superinstructions (operand/output inversions baked in).
 const OP_AND2: u8 = 0; // a & b
@@ -419,73 +410,6 @@ fn run2(ops: &[KOp], run_ends: &[u32], pool: &[u32], vals: &mut [u64]) {
     }
 }
 
-/// Dual-rail three-valued combination of one base family. `(a1, a0)` are
-/// the "can be 1" / "can be 0" rails; operand inversion swaps the rails.
-#[inline]
-fn rails_and(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-    (a.0 & b.0, a.1 | b.1)
-}
-#[inline]
-fn rails_or(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-    (a.0 | b.0, a.1 & b.1)
-}
-#[inline]
-fn rails_xor(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-    ((a.0 & b.1) | (a.1 & b.0), (a.0 & b.0) | (a.1 & b.1))
-}
-
-/// Run a compiled program over dual-rail three-valued words.
-fn run3(ops: &[KOp], pool: &[u32], v1: &mut [u64], v0: &mut [u64]) {
-    #[inline]
-    fn read(v1: &[u64], v0: &[u64], idx: usize, inv: bool) -> (u64, u64) {
-        if inv {
-            (v0[idx], v1[idx])
-        } else {
-            (v1[idx], v0[idx])
-        }
-    }
-    for op in ops {
-        let out = if op.code < OP_WIDE {
-            let a = read(v1, v0, op.a as usize, false);
-            let b = read(v1, v0, op.b as usize, false);
-            match op.code {
-                OP_AND2 => rails_and(a, b),
-                OP_NAND2 => swap(rails_and(a, b)),
-                OP_OR2 => rails_or(a, b),
-                OP_NOR2 => swap(rails_or(a, b)),
-                OP_XOR2 => rails_xor(a, b),
-                OP_XNOR2 => swap(rails_xor(a, b)),
-                OP_ANDN2 => rails_and(a, swap(b)),
-                OP_ORN2 => rails_or(a, swap(b)),
-                OP_MOV => a,
-                _ => swap(a),
-            }
-        } else {
-            let fanins = &pool[op.a as usize..(op.a + op.b) as usize];
-            let mut it = fanins
-                .iter()
-                .map(|&f| read(v1, v0, (f & !POOL_INV) as usize, f & POOL_INV != 0));
-            match op.code - OP_WIDE {
-                0 => it.fold((!0u64, 0u64), rails_and),
-                1 => swap(it.fold((!0u64, 0u64), rails_and)),
-                2 => it.fold((0u64, !0u64), rails_or),
-                3 => swap(it.fold((0u64, !0u64), rails_or)),
-                4 => it.fold((0u64, !0u64), rails_xor),
-                5 => swap(it.fold((0u64, !0u64), rails_xor)),
-                6 => swap(it.next().expect("NOT has a fanin")),
-                _ => it.next().expect("BUF has a fanin"),
-            }
-        };
-        v1[op.out as usize] = out.0;
-        v0[op.out as usize] = out.1;
-    }
-}
-
-#[inline]
-fn swap(r: (u64, u64)) -> (u64, u64) {
-    (r.1, r.0)
-}
-
 /// Per-worker scratch for [`Kernel::propagate`]: a pending-op bitmap and
 /// the changed-node (restore) list. Create once per worker with
 /// [`FaultProp::default`] and reuse across faults — the buffers grow to
@@ -499,9 +423,9 @@ pub struct FaultProp {
 
 /// A compiled, cached simulation program for one netlist structure.
 ///
-/// Build once per circuit via [`Kernel::for_netlist`]; all evaluation
-/// flavours (packed two-valued, dual-rail three-valued, event-driven
-/// single-fault propagation) run from one compilation.
+/// Build once per circuit via [`Kernel::for_netlist`]; both evaluation
+/// flavours (packed two-valued, event-driven single-fault propagation) run
+/// from one compilation.
 #[derive(Debug)]
 pub struct Kernel {
     digest: u128,
@@ -625,20 +549,6 @@ impl Kernel {
         run2(&self.ops, &self.run_ends, &self.pool, vals);
     }
 
-    /// Packed dual-rail three-valued evaluation: `v1` is the "can be 1"
-    /// rail, `v0` the "can be 0" rail (both set = X). Source rails
-    /// pre-filled (see [`load_trit`]); value-identical to
-    /// [`crate::tv::eval_tv`] on every node and lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rail buffer length is not `self.num_nodes()`.
-    pub fn eval3(&self, v1: &mut [u64], v0: &mut [u64]) {
-        assert_eq!(v1.len(), self.num_nodes, "rail buffer size mismatch");
-        assert_eq!(v0.len(), self.num_nodes, "rail buffer size mismatch");
-        run3(&self.ops, &self.pool, v1, v0);
-    }
-
     /// Event-driven single-fault propagation (see [module docs](self)):
     /// force `patch` into `vals[site]`, re-evaluate exactly the ops whose
     /// inputs change, and return the OR over observable nodes of
@@ -722,45 +632,9 @@ impl Kernel {
     }
 
     /// Shared observability flags (PO drivers and DFF D-inputs), matching
-    /// the fault-simulation engines' definition.
+    /// the fault-simulation engine's definition.
     pub fn observable(&self) -> &[bool] {
         &self.observable
-    }
-}
-
-/// Write one lane of a trit into dual-rail buffers (helper for three-valued
-/// packed set-up; X sets both rails).
-#[inline]
-pub fn load_trit(v1: &mut [u64], v0: &mut [u64], idx: usize, lane: usize, t: Trit) {
-    let bit = 1u64 << lane;
-    match t {
-        Trit::One => {
-            v1[idx] |= bit;
-            v0[idx] &= !bit;
-        }
-        Trit::Zero => {
-            v0[idx] |= bit;
-            v1[idx] &= !bit;
-        }
-        Trit::X => {
-            v1[idx] |= bit;
-            v0[idx] |= bit;
-        }
-    }
-}
-
-/// Read one lane of a dual-rail value back as a trit.
-///
-/// # Panics
-///
-/// Panics if neither rail is set (not a valid encoding).
-#[inline]
-pub fn read_trit(v1: &[u64], v0: &[u64], idx: usize, lane: usize) -> Trit {
-    match ((v1[idx] >> lane) & 1 == 1, (v0[idx] >> lane) & 1 == 1) {
-        (true, true) => Trit::X,
-        (true, false) => Trit::One,
-        (false, true) => Trit::Zero,
-        (false, false) => panic!("empty dual-rail encoding at node {idx} lane {lane}"),
     }
 }
 
@@ -905,7 +779,6 @@ impl Fnv {
 mod tests {
     use super::*;
     use crate::comb;
-    use crate::tv;
     use fbt_netlist::rng::Rng;
     use fbt_netlist::s27;
     use fbt_netlist::synth::{self, CircuitSpec};
@@ -960,49 +833,6 @@ mod tests {
             comb::eval_packed(&net, &mut reference);
             kernel.eval2(&mut compiled);
             assert_eq!(compiled, reference, "combo {combo}");
-        }
-    }
-
-    #[test]
-    fn eval3_matches_eval_tv_on_random_nets_with_x() {
-        let mut rng = Rng::new(23);
-        for net in random_nets(5, 0x3BAD) {
-            let kernel = Kernel::build(&net);
-            // 64 random trit assignments per circuit, one per lane.
-            let n = net.num_nodes();
-            let mut v1 = vec![0u64; n];
-            let mut v0 = vec![0u64; n];
-            let mut lanes: Vec<Vec<Trit>> = Vec::new();
-            for lane in 0..64 {
-                let mut sources = Vec::new();
-                for &id in net.inputs().iter().chain(net.dffs()) {
-                    let t = match rng.next_u64() % 3 {
-                        0 => Trit::Zero,
-                        1 => Trit::One,
-                        _ => Trit::X,
-                    };
-                    load_trit(&mut v1, &mut v0, id.index(), lane, t);
-                    sources.push(t);
-                }
-                lanes.push(sources);
-            }
-            kernel.eval3(&mut v1, &mut v0);
-            for (lane, sources) in lanes.iter().enumerate() {
-                let mut reference = vec![Trit::X; n];
-                for (&t, &id) in sources.iter().zip(net.inputs().iter().chain(net.dffs())) {
-                    reference[id.index()] = t;
-                }
-                tv::eval_tv(&net, &mut reference);
-                for id in net.node_ids() {
-                    assert_eq!(
-                        read_trit(&v1, &v0, id.index(), lane),
-                        reference[id.index()],
-                        "{} node {} lane {lane}",
-                        net.name(),
-                        net.node_name(id)
-                    );
-                }
-            }
         }
     }
 
@@ -1197,18 +1027,5 @@ mod tests {
             );
             assert_eq!(kernel.num_ops(), net.eval_order().len());
         }
-    }
-
-    #[test]
-    fn trit_roundtrip_through_rails() {
-        let mut v1 = vec![0u64; 1];
-        let mut v0 = vec![0u64; 1];
-        for (lane, t) in [Trit::Zero, Trit::One, Trit::X].into_iter().enumerate() {
-            load_trit(&mut v1, &mut v0, 0, lane, t);
-            assert_eq!(read_trit(&v1, &v0, 0, lane), t);
-        }
-        // Overwriting a lane replaces the old encoding.
-        load_trit(&mut v1, &mut v0, 0, 2, Trit::One);
-        assert_eq!(read_trit(&v1, &v0, 0, 2), Trit::One);
     }
 }

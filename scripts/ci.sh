@@ -239,17 +239,19 @@ strip_lint_json "${warm2}" "${warm_body2}"
 cmp "${warm_body1}" "${warm_body2}"
 rm -rf "${cache_dir}" "${warm1}" "${warm2}" "${warm_body1}" "${warm_body2}" "${lint_out}"
 
-echo "== compiled kernels (18-circuit builds + compiled-vs-interpreter golden) =="
+echo "== compiled kernels (18-circuit builds + scalar-oracle fault simulation) =="
 # The compiled-kernel layer must (a) build a kernel for every catalog
-# circuit the lint golden step covers and (b) be bit-identical to the
-# gate-walking interpreter on values, detections, per-lane SWA and every
-# outcome field — including the s27 grouped fixture at batch {1, 4, 16}.
-# The interpreter stays the oracle; these suites are the pin. The kprof
-# probe then steps full-size s35932 on 8 lanes and asserts every lane's
-# SWA against a naive popcount (a correctness smoke: its timings are
-# printed, never gated).
+# circuit the lint golden step covers and be bit-identical to the
+# gate-walking interpreter on values and per-lane SWA, and (b) give fault
+# simulation whose every outcome field equals the scalar fault-simulation
+# oracle's (one test and one fault at a time through the interpreter,
+# crates/fault/tests/common) — including the s27 grouped fixture at batch
+# {1, 4, 16}. The interpreter and the scalar oracle are the references;
+# these suites are the pin. The kprof probe then steps full-size s35932 on
+# 8 lanes and asserts every lane's SWA against a naive popcount (a
+# correctness smoke: its timings are printed, never gated).
 cargo test --release -q -p fbt-sim --test kernel_differential
-cargo test --release -q -p fbt-fault --test compiled_kernel
+cargo test --release -q -p fbt-fault --test differential --test grouped_differential
 cargo run --release -q -p fbt-sim --example kprof
 
 echo "== golden Chapter-4 outcomes (bit-identity vs committed fixtures) =="

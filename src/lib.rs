@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use fbt_fault::{
         all_transition_faults, collapse, BroadsideTest, FaultSimEngine, FaultSimOptions,
-        PackedParallelSim, SerialSim, TestGroup, TestSet, TransitionFault, TwoPatternTest,
+        PackedParallelSim, TestGroup, TestSet, TransitionFault, TwoPatternTest,
     };
     pub use fbt_netlist::{Netlist, NetlistBuilder, NodeId};
     pub use fbt_sat::{solve_transition_fault, DetectionVerdict, Solver};

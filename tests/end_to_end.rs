@@ -9,7 +9,7 @@ use fbt::core::{
     generate_constrained, generate_unconstrained, improve_with_holding, swafunc,
     FunctionalBistConfig,
 };
-use fbt::fault::{FaultSimEngine, SerialSim};
+use fbt::fault::{FaultSimEngine, PackedParallelSim};
 use fbt::netlist::{s27, synth};
 use fbt::sim::seq::{simulate_sequence, SeqSim};
 use fbt::sim::Bits;
@@ -146,7 +146,7 @@ fn faulty_circuit_changes_the_misr_signature() {
         m: cfg.m,
         cube: fbt::bist::cube::input_cube(&net),
     };
-    let mut fsim = SerialSim::new(&net);
+    let mut fsim = PackedParallelSim::new(&net);
     let mut found = None;
     for &seed in &out.seeds {
         let pis = Tpg::new(spec.clone(), seed).sequence(cfg.seq_len);

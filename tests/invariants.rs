@@ -8,7 +8,8 @@
 
 use fbt::bist::{Lfsr, Misr, Tpg, TpgSpec};
 use fbt::fault::{
-    all_transition_faults, BroadsideTest, FaultSimEngine, FaultSimOptions, SerialSim, TestSet,
+    all_transition_faults, BroadsideTest, FaultSimEngine, FaultSimOptions, PackedParallelSim,
+    TestSet,
 };
 use fbt::netlist::rng::Rng;
 use fbt::netlist::synth::CircuitSpec;
@@ -144,7 +145,7 @@ fn fault_sim_monotone() {
                 )
             })
             .collect();
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let mut det_half = vec![false; faults.len()];
         fsim.simulate(
             TestSet::Broadside(&tests[..12]),
@@ -200,7 +201,7 @@ fn collapse_preserves_detection() {
             random_bits(&mut rng, net.num_inputs()),
             random_bits(&mut rng, net.num_inputs()),
         );
-        let mut fsim = SerialSim::new(&net);
+        let mut fsim = PackedParallelSim::new(&net);
         let full_detected: usize = full.iter().filter(|f| fsim.detects(&t, f)).count();
         let reps_detected: usize = reps.iter().filter(|f| fsim.detects(&t, f)).count();
         // Representatives are equivalent to their class, so "any detected"

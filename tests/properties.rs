@@ -117,7 +117,7 @@ proptest! {
         );
         let tests: Vec<BroadsideTest> = (0..24).map(|_| mk(&mut rng)).collect();
         use fbt::fault::{FaultSimEngine, FaultSimOptions, TestSet};
-        let mut fsim = fbt::fault::SerialSim::new(&net);
+        let mut fsim = fbt::fault::PackedParallelSim::new(&net);
         let mut det_half = vec![false; faults.len()];
         fsim.simulate(
             TestSet::Broadside(&tests[..12]),
@@ -168,7 +168,7 @@ proptest! {
             (0..net.num_inputs()).map(|_| rng.bit()).collect(),
         );
         use fbt::fault::FaultSimEngine;
-        let mut fsim = fbt::fault::SerialSim::new(&net);
+        let mut fsim = fbt::fault::PackedParallelSim::new(&net);
         let full_detected: usize = full.iter().filter(|f| fsim.detects(&t, f)).count();
         let reps_detected: usize = reps.iter().filter(|f| fsim.detects(&t, f)).count();
         // Representatives are equivalent to their class: the count over the

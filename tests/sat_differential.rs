@@ -15,7 +15,7 @@
 use fbt_fault::path::{enumerate_paths, tpdf_list};
 use fbt_fault::{
     all_transition_faults, BroadsideTest, FaultSimEngine, FaultSimOptions, PackedParallelSim,
-    SerialSim, TestSet,
+    TestSet,
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::synth::CircuitSpec;
@@ -54,7 +54,7 @@ fn exhaustive_detectability(net: &Netlist) -> Vec<bool> {
 fn differential_check(net: &Netlist) -> SolverStats {
     let faults = all_transition_faults(net);
     let truth = exhaustive_detectability(net);
-    let mut sim = SerialSim::new(net);
+    let mut sim = PackedParallelSim::new(net);
     let mut total = SolverStats::default();
     for (fault, &detectable) in faults.iter().zip(&truth) {
         let (verdict, stats) = solve_transition_fault(net, fault, None);
@@ -111,7 +111,7 @@ fn transition_fault_verdicts_match_enumeration_on_random_circuits() {
 fn tpdf_tests_detect_all_their_transition_faults() {
     let net = s27();
     let faults = tpdf_list(&enumerate_paths(&net, usize::MAX));
-    let mut sim = SerialSim::new(&net);
+    let mut sim = PackedParallelSim::new(&net);
     let mut detected = 0usize;
     for f in &faults {
         if let (DetectionVerdict::Test(t), _) = solve_tpdf(&net, f, None) {
