@@ -83,13 +83,6 @@ pub struct TpdfConfig {
     /// Sound for every circuit: skipped faults are untestable under any
     /// test, so the remaining verdicts are unchanged.
     pub preflight: bool,
-    /// Strengthen the pre-flight with the SAT-certified autofix engine
-    /// (`fbt-lint --fix`): lines the certified repair removes without a
-    /// surviving replacement (provenance `None`) are structurally
-    /// unobservable, so path faults through them are decided untestable
-    /// before any search runs. Sound and off by default; verdicts for all
-    /// other faults are unchanged.
-    pub fix_preflight: bool,
     /// Random tie-break seed.
     pub seed: u64,
 }
@@ -108,7 +101,6 @@ impl Default for TpdfConfig {
             },
             sat_fallback: true,
             preflight: true,
-            fix_preflight: false,
             seed: 0x7BDF,
         }
     }
@@ -236,27 +228,12 @@ pub fn run_pipeline(
     // combinationally unobservable line can never propagate; a path fault
     // containing such a transition fault is undetectable without search.
     let mut undetectable_tfs: HashSet<TransitionFault> = HashSet::new();
-    if cfg.preflight || cfg.fix_preflight {
+    if cfg.preflight {
         let t0 = Instant::now();
-        if cfg.preflight {
-            let evidence = fbt_lint::PreflightEvidence::analyze(net);
-            for t in &unique_tfs {
-                if evidence.transition_untestable(t.line) {
-                    undetectable_tfs.insert(*t);
-                }
-            }
-        }
-        if cfg.fix_preflight {
-            // Provenance `None` means the certified repair removed the line
-            // with no surviving replacement: only the dead-cone rule does
-            // that, so the line reaches no PO or next-state function and a
-            // transition fault on it can never propagate.
-            let out = fbt_lint::fix_netlist(net, &fbt_lint::FixConfig::default());
-            for t in &unique_tfs {
-                let name = net.node_name(t.line);
-                if matches!(out.provenance.get(name), Some(None)) {
-                    undetectable_tfs.insert(*t);
-                }
+        let evidence = fbt_lint::PreflightEvidence::analyze(net);
+        for t in &unique_tfs {
+            if evidence.transition_untestable(t.line) {
+                undetectable_tfs.insert(*t);
             }
         }
         let mut undet_pre = 0usize;
@@ -565,7 +542,6 @@ mod tests {
             },
             sat_fallback: true,
             preflight: true,
-            fix_preflight: false,
             seed: 7,
         }
     }
@@ -651,52 +627,6 @@ mod tests {
             assert_eq!(x.is_detected(), y.is_detected());
             assert_eq!(x.is_undetectable(), y.is_undetectable());
         }
-    }
-
-    #[test]
-    fn fix_preflight_preserves_verdicts_and_decides_dead_paths() {
-        // s27 is a fixpoint of the repair engine: the flag changes nothing.
-        let net = s27();
-        let faults = tpdf_list(&enumerate_paths(&net, usize::MAX));
-        let base = run_pipeline(&net, &faults, &quick_cfg());
-        let mut cfg = quick_cfg();
-        cfg.fix_preflight = true;
-        let with = run_pipeline(&net, &faults, &cfg);
-        for (x, y) in base.statuses.iter().zip(&with.statuses) {
-            assert_eq!(x.is_detected(), y.is_detected());
-            assert_eq!(x.is_undetectable(), y.is_undetectable());
-        }
-
-        // A hand-built path into a dead cone is decided untestable by the
-        // fix-engine provenance alone (structural preflight off).
-        let mut b = fbt_netlist::NetlistBuilder::new("deadpath");
-        b.input("a").unwrap();
-        b.input("b").unwrap();
-        b.gate(fbt_netlist::GateKind::And, "y", &["a", "b"])
-            .unwrap();
-        b.gate(fbt_netlist::GateKind::Xor, "dead", &["a", "b"])
-            .unwrap();
-        b.gate(fbt_netlist::GateKind::Not, "dead2", &["dead"])
-            .unwrap();
-        b.output("y").unwrap();
-        let net = b.finish().unwrap();
-        let a = net.find("a").unwrap();
-        let dead = net.find("dead").unwrap();
-        let dead2 = net.find("dead2").unwrap();
-        let path = fbt_fault::path::Path::new(&net, vec![a, dead, dead2]);
-        let faults = tpdf_list(std::slice::from_ref(&path));
-        let mut cfg = quick_cfg();
-        cfg.preflight = false;
-        cfg.fix_preflight = true;
-        let report = run_pipeline(&net, &faults, &cfg);
-        assert_eq!(report.num_undetectable(), faults.len());
-        let by_preflight = report
-            .stats
-            .undetectable
-            .get(&SubProcedure::Preflight)
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(by_preflight, faults.len());
     }
 
     #[test]

@@ -69,7 +69,6 @@ fn pipeline_matches_exhaustive_ground_truth_on_s27() {
         },
         sat_fallback: true,
         preflight: true,
-        fix_preflight: false,
         seed: 7,
     };
     let report = run_pipeline(&net, &faults, &cfg);

@@ -80,7 +80,6 @@ impl Scale {
                 },
                 sat_fallback: true,
                 preflight: true,
-                fix_preflight: false,
                 seed: 0x7BDF,
             },
             Scale::Default => TpdfConfig::default(),
@@ -96,7 +95,6 @@ impl Scale {
                 },
                 sat_fallback: true,
                 preflight: true,
-                fix_preflight: false,
                 seed: 0x7BDF,
             },
         }

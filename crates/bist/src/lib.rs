@@ -3,7 +3,10 @@
 //! Cycle-accurate behavioural models of the built-in test generation
 //! hardware of the paper's Chapter 4.
 //!
-//! Every structure in Figs. 4.2–4.13 has a model here:
+//! The datapath structures have models here. The control FSM of Fig. 4.2 is
+//! represented by its cycle budget ([`schedule`]); the cycle-accurate FSM
+//! that checks that budget is a test oracle of the `fbt` package
+//! (`tests/controller_oracle.rs`).
 //!
 //! * [`Lfsr`] — the n-stage linear feedback shift register (Fig. 4.3);
 //! * [`Misr`] — the multiple-input signature register (Fig. 4.4);
@@ -23,7 +26,6 @@
 //!   Design Compiler runs).
 
 pub mod area;
-pub mod controller;
 mod counter;
 pub mod cube;
 pub mod holding;
@@ -35,7 +37,6 @@ mod tpg;
 pub mod tpg73;
 pub mod weighted;
 
-pub use controller::{ClockEnables, Controller, Mode};
 pub use counter::CycleCounter;
 pub use lfsr::Lfsr;
 pub use misr::Misr;

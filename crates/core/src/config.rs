@@ -45,14 +45,6 @@ pub struct FunctionalBistConfig {
     /// the simulated fault count shrinks (see
     /// [`crate::GenerationStats::faults_skipped_lint`]).
     pub lint_preflight: bool,
-    /// Run generation over the SAT-certified autofix repair of the circuit
-    /// ([`fbt_lint::fix_netlist`]) instead of the circuit as given. Each
-    /// repair batch is proven equivalent by an XOR miter before it is
-    /// committed, so POs and next-state functions are unchanged; the fault
-    /// list, however, is built over the repaired structure, so fault counts
-    /// and coverage figures are *not* comparable with the default run.
-    /// Defaults to `false`; golden fixtures are pinned with it off.
-    pub fix_preflight: bool,
     /// Speculative seed-search tunables (batch size, worker threads). Any
     /// setting produces bit-identical outcomes; this only trades wasted
     /// speculative evaluations for wall-clock time.
@@ -77,7 +69,6 @@ impl FunctionalBistConfig {
             hold_tree_height: 6,
             master_seed: 0x0FB7_2011,
             lint_preflight: true,
-            fix_preflight: false,
             search: SearchOptions::default(),
         }
     }
@@ -124,7 +115,11 @@ impl FunctionalBistConfig {
         assert!(self.useless_seed_limit > 0, "U must be positive");
         assert!(self.segment_failure_limit > 0, "R must be positive");
         assert!(self.attempt_failure_limit > 0, "Q must be positive");
-        assert!(self.hold_period_log2 >= 1, "h must be >= 1");
+        // The hold schedule tests `c & ((1 << h) - 1)` on a `u64` counter.
+        assert!(
+            (1..64).contains(&self.hold_period_log2),
+            "h must be in 1..64"
+        );
         assert!(self.m >= 2, "m must be >= 2");
         self.search.validate();
     }
@@ -165,6 +160,16 @@ mod tests {
     fn odd_length_rejected() {
         let c = FunctionalBistConfig {
             seq_len: 7,
+            ..FunctionalBistConfig::smoke()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "h must be in 1..64")]
+    fn hold_period_beyond_the_counter_rejected() {
+        let c = FunctionalBistConfig {
+            hold_period_log2: 64,
             ..FunctionalBistConfig::smoke()
         };
         c.validate();

@@ -256,8 +256,6 @@ fn run<P: AdmissibilityPolicy + ?Sized>(
     initial_states: &[Bits],
     progress: &Progress,
 ) -> ConstrainedOutcome {
-    let repaired = crate::preflight::repaired_subject(net, cfg.fix_preflight);
-    let net = repaired.as_ref().unwrap_or(net);
     let t0 = Instant::now();
     let mut engine = GenerationEngine::new(net, cfg);
     engine.set_progress(progress.clone());

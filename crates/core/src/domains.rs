@@ -63,11 +63,6 @@ impl ClockDomains {
         }
     }
 
-    /// Number of domains.
-    pub fn num_domains(&self) -> usize {
-        self.periods.len()
-    }
-
     /// The domain of flip-flop `ff`.
     pub fn domain_of(&self, ff: usize) -> usize {
         self.assignment[ff]

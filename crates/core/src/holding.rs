@@ -198,8 +198,6 @@ pub fn improve_with_holding(
     base: &ConstrainedOutcome,
 ) -> HoldingOutcome {
     cfg.validate();
-    let repaired = crate::preflight::repaired_subject(net, cfg.fix_preflight);
-    let net = repaired.as_ref().unwrap_or(net);
     assert_eq!(
         base.faults.len(),
         fbt_fault::collapse(net, &fbt_fault::all_transition_faults(net)).len(),
@@ -352,8 +350,6 @@ pub fn improve_with_holding_greedy(
     base: &ConstrainedOutcome,
 ) -> HoldingOutcome {
     cfg.validate();
-    let repaired = crate::preflight::repaired_subject(net, cfg.fix_preflight);
-    let net = repaired.as_ref().unwrap_or(net);
     let t0 = Instant::now();
     let source = TpgSeedSource::for_circuit(net, cfg);
     let mut engine = GenerationEngine::with_faults(net, cfg, base.faults.clone(), false);

@@ -39,7 +39,6 @@
 pub mod certify;
 mod config;
 pub mod constrained;
-pub mod curve;
 pub mod domains;
 pub mod driver;
 pub mod engine;

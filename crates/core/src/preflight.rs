@@ -33,24 +33,6 @@ pub(crate) fn project_active(
     (active, idx)
 }
 
-/// The SAT-certified autofix repair of the circuit, or `None` when the flag
-/// is off, nothing applied, or the fix engine is blocked (e.g. by a
-/// combinational cycle — impossible for a built [`Netlist`], but the engine
-/// reports rather than panics). Every applied batch is miter-proven
-/// equivalent, so substituting the repaired circuit preserves all PO and
-/// next-state functions; only the fault list over the structure changes.
-pub(crate) fn repaired_subject(net: &Netlist, enabled: bool) -> Option<Netlist> {
-    if !enabled {
-        return None;
-    }
-    let out = fbt_lint::fix_netlist(net, &fbt_lint::FixConfig::default());
-    if out.net_changed() {
-        out.repaired
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,34 +54,5 @@ mod tests {
         let (active, idx) = project_active(&net, &faults, false);
         assert_eq!(active, faults);
         assert_eq!(idx.len(), faults.len());
-    }
-
-    #[test]
-    fn repaired_subject_off_or_clean_is_none() {
-        let net = fbt_netlist::s27();
-        assert!(repaired_subject(&net, false).is_none());
-        // s27 is already a fixpoint of the repair engine.
-        assert!(repaired_subject(&net, true).is_none());
-    }
-
-    #[test]
-    fn repaired_subject_shrinks_messy_circuit() {
-        let net = fbt_netlist::bench::parse(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nf = DFF(a)\n\
-             y = AND(b, f)\ndead = XOR(a, b)\ndead2 = NOT(dead)\n",
-            "messy",
-        )
-        .unwrap();
-        let repaired = repaired_subject(&net, true).expect("dead cone repaired");
-        assert!(repaired.num_nodes() < net.num_nodes());
-        assert!(repaired.find("dead").is_none());
-        // The generation flow over the repaired circuit still works.
-        let cfg = crate::FunctionalBistConfig {
-            fix_preflight: true,
-            ..crate::FunctionalBistConfig::smoke()
-        };
-        let out = crate::generate_unconstrained(&net, &cfg);
-        assert!(out.summary.faults.len() < collapse(&net, &all_transition_faults(&net)).len());
-        assert!(out.fault_coverage() > 0.0);
     }
 }

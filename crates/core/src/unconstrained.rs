@@ -134,8 +134,6 @@ pub fn generate_unconstrained_watched(
     cfg: &FunctionalBistConfig,
     progress: &Progress,
 ) -> GenerationOutcome {
-    let repaired = crate::preflight::repaired_subject(net, cfg.fix_preflight);
-    let net = repaired.as_ref().unwrap_or(net);
     let t0 = Instant::now();
     let mut engine = GenerationEngine::new(net, cfg);
     engine.set_progress(progress.clone());

@@ -348,11 +348,6 @@ impl DetectionMatrix {
     pub fn num_tests(&self) -> usize {
         self.n_tests
     }
-
-    /// Consume into the raw per-fault word rows.
-    pub fn into_rows(self) -> Vec<Vec<u64>> {
-        self.rows
-    }
 }
 
 /// Everything one group (or one plain call) produced. Optional fields are

@@ -100,15 +100,6 @@ pub fn cache_stats() -> (u64, u64) {
     (s.hits, s.misses)
 }
 
-/// Drop every cached entry (test isolation; also resets the counters).
-pub fn clear_cache() {
-    let mut s = store().lock().expect("lint cache poisoned");
-    s.map.clear();
-    s.order.clear();
-    s.hits = 0;
-    s.misses = 0;
-}
-
 fn spill_override() -> &'static Mutex<Option<PathBuf>> {
     static OVERRIDE: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
     OVERRIDE.get_or_init(|| Mutex::new(None))

@@ -63,18 +63,6 @@ pub enum RawStmt {
     },
 }
 
-impl RawStmt {
-    /// The signal name this statement declares or defines, if any
-    /// (`Output` only *references* a signal).
-    pub fn defined_name(&self) -> Option<&str> {
-        match self {
-            RawStmt::Input(n) => Some(n),
-            RawStmt::Output(_) => None,
-            RawStmt::Def { name, .. } => Some(name),
-        }
-    }
-}
-
 /// A syntax-level parse of a circuit document: the statement stream with
 /// 1-based line numbers, **without** structural validation.
 ///

@@ -77,15 +77,6 @@ impl Rng {
         self.below(den) < num
     }
 
-    /// Choose a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {

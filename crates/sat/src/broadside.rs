@@ -87,12 +87,6 @@ impl<'a> BroadsideEncoding<'a> {
         }
     }
 
-    /// The underlying unroller (frame 0 = launch, frame 1 = capture), for
-    /// layering extra constraints such as a fixed scan-in state.
-    pub fn unroller_mut(&mut self) -> &mut Unroller<'a> {
-        &mut self.unroller
-    }
-
     /// Pin the scan-in state `s1`.
     pub fn fix_scan_in(&mut self, s1: &Bits) {
         self.unroller.assert_state(0, s1);

@@ -61,11 +61,6 @@ impl<'a> Unroller<'a> {
         self.net
     }
 
-    /// Number of frames pushed so far.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// The formula accumulated so far.
     pub fn cnf(&self) -> &CnfFormula {
         &self.cnf
@@ -74,11 +69,6 @@ impl<'a> Unroller<'a> {
     /// Mutable access to the formula, for layering extra constraints.
     pub fn cnf_mut(&mut self) -> &mut CnfFormula {
         &mut self.cnf
-    }
-
-    /// Consume the unroller, returning the formula.
-    pub fn into_cnf(self) -> CnfFormula {
-        self.cnf
     }
 
     /// Append one time frame and return its index.

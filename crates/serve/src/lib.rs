@@ -9,12 +9,12 @@
 //!   keep-alive, shared by server, load generator, and tests);
 //! - [`store`] — a content-addressed circuit store keyed by the structural
 //!   FNV digest from `fbt_sim::kernel`, deduplicating uploads and caching
-//!   lint reports and kernel handles per digest;
+//!   lint reports per digest;
 //! - [`jobs`] — job specs, the `Queued → Running → Done/Failed/Cancelled`
 //!   lifecycle with exactly-once commit accounting, and execution through
 //!   the same library calls the CLI tools make;
-//! - [`pool`] — a work-stealing shard pool (per-shard deques, back-steals,
-//!   worker-local kernel pins) with a draining shutdown;
+//! - [`pool`] — a work-stealing shard pool (per-shard deques, back-steals)
+//!   with a draining shutdown;
 //! - [`api`] — the endpoint surface and the accept loop.
 //!
 //! The load generator (`src/bin/loadgen.rs`) replays concurrent request

@@ -4,10 +4,7 @@
 //! worker thread owns a home shard and pops from its *front*. A worker
 //! whose home shard runs dry steals from the *back* of the other shards,
 //! so load imbalance self-corrects without a central queue lock becoming a
-//! bottleneck. Workers also keep a local pin cache of `Arc<Kernel>`
-//! handles keyed by structural digest: a pinned handle keeps a hot
-//! circuit's compiled kernel alive across global LRU evictions for as long
-//! as the worker keeps seeing it.
+//! bottleneck.
 //!
 //! Determinism: the pool decides only *where and when* a job runs, never
 //! *how* — each job executes through the same single-engine entry points
@@ -27,9 +24,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fbt_netlist::json::ObjWriter;
-use fbt_sim::kernel::Kernel;
 
-use crate::jobs::{execute, Job, JobKind, JobSpec};
+use crate::jobs::{execute, Job, JobSpec};
 use crate::store::ContentStore;
 
 /// Monotone pool activity counters (process lifetime).
@@ -47,10 +43,6 @@ pub struct PoolCounters {
     pub local_pops: AtomicUsize,
     /// Pops stolen from another shard's back.
     pub steals: AtomicUsize,
-    /// Generate jobs whose kernel was already pinned by this worker.
-    pub pin_hits: AtomicUsize,
-    /// Generate jobs that had to fetch (or build) a kernel handle.
-    pub pin_misses: AtomicUsize,
     /// Jobs observed taking a second terminal transition (always 0 when
     /// healthy; surfaced so tests and `/stats` can assert it).
     pub double_commits: AtomicUsize,
@@ -210,8 +202,6 @@ impl Pool {
             .num("cancelled", c.cancelled.load(Ordering::Relaxed))
             .num("local_pops", c.local_pops.load(Ordering::Relaxed))
             .num("steals", c.steals.load(Ordering::Relaxed))
-            .num("pin_hits", c.pin_hits.load(Ordering::Relaxed))
-            .num("pin_misses", c.pin_misses.load(Ordering::Relaxed))
             .num("double_commits", c.double_commits.load(Ordering::Relaxed));
         o.finish()
     }
@@ -262,14 +252,11 @@ fn pop_work(shared: &Shared, home: usize) -> Option<u64> {
 
 fn worker_loop(shared: &Shared, worker_idx: usize) {
     let home = worker_idx % shared.shards.len();
-    // Worker-local kernel pins: digest → handle. Keeps hot kernels alive
-    // across global LRU evictions without touching the hit/build counters.
-    let mut pins: HashMap<u128, Arc<Kernel>> = HashMap::new();
     loop {
         match pop_work(shared, home) {
             Some(id) => {
                 shared.inflight.fetch_add(1, Ordering::SeqCst);
-                run_one(shared, id, &mut pins);
+                run_one(shared, id);
                 shared.inflight.fetch_sub(1, Ordering::SeqCst);
                 shared.work_cond.notify_all();
             }
@@ -294,7 +281,7 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
     }
 }
 
-fn run_one(shared: &Shared, id: u64, pins: &mut HashMap<u128, Arc<Kernel>>) {
+fn run_one(shared: &Shared, id: u64) {
     let Some(job) = shared
         .jobs
         .lock()
@@ -313,17 +300,6 @@ fn run_one(shared: &Shared, id: u64, pins: &mut HashMap<u128, Arc<Kernel>>) {
         }
         counters.cancelled.fetch_add(1, Ordering::Relaxed);
         return;
-    }
-    if job.spec.kind == JobKind::Generate {
-        match pins.entry(job.circuit.digest) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                counters.pin_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                counters.pin_misses.fetch_add(1, Ordering::Relaxed);
-                slot.insert(job.circuit.kernel());
-            }
-        }
     }
     let prev = match execute(&job, &shared.store) {
         Ok(artifact) => {
@@ -397,6 +373,44 @@ mod tests {
         assert!(pool
             .submit(spec("{\"circuit\":\"nope\",\"kind\":\"lint\"}"))
             .is_err());
+        pool.drain();
+    }
+
+    #[test]
+    fn workers_keep_no_kernel_after_its_jobs_commit() {
+        // More distinct circuits than the global kernel cache holds (64): once
+        // their generate jobs commit, the first circuit's kernel must be gone.
+        // Checked before `drain`, which joins the worker and would free
+        // anything it still held.
+        let store = Arc::new(ContentStore::new());
+        let names: Vec<String> = (0..72)
+            .map(|i| {
+                let name = format!("evict{i}");
+                let spec = fbt_netlist::synth::CircuitSpec::new(&name, 4, 2, 3, 16);
+                store.register_as(fbt_netlist::synth::generate(&spec), &name);
+                name
+            })
+            .collect();
+        assert_eq!(store.len(), names.len(), "circuits must be distinct");
+        let first_net = store.get(&names[0]).unwrap().net.clone();
+        let first = Arc::downgrade(&fbt_sim::kernel::Kernel::for_netlist(&first_net));
+        let pool = Pool::new(store, 1, 1);
+        let jobs: Vec<_> = names
+            .iter()
+            .map(|n| {
+                let body = format!("{{\"circuit\":\"{n}\",\"method\":\"unconstrained\"}}");
+                pool.submit(spec(&body)).expect("submit")
+            })
+            .collect();
+        let pending = |j: &Arc<Job>| matches!(j.status(), JobStatus::Queued | JobStatus::Running);
+        while jobs.iter().any(pending) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(jobs.iter().all(|j| j.status() == JobStatus::Done));
+        assert!(
+            first.upgrade().is_none(),
+            "a worker still holds an evicted kernel"
+        );
         pool.drain();
     }
 

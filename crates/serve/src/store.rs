@@ -93,14 +93,6 @@ impl CircuitEntry {
         report
     }
 
-    /// The compiled simulation kernel for this circuit, via the global
-    /// content-addressed kernel cache (shared across entries, shards and
-    /// engines).
-    pub fn kernel(&self) -> Arc<fbt_sim::kernel::Kernel> {
-        fbt_sim::kernel::cache_lookup(self.digest)
-            .unwrap_or_else(|| fbt_sim::kernel::Kernel::for_netlist(&self.net))
-    }
-
     /// The interface facts as a JSON object.
     pub fn describe_json(&self) -> String {
         let mut o = ObjWriter::new();

@@ -9,55 +9,7 @@
 use fbt_netlist::Netlist;
 
 use crate::lanes::LaneSeqSim;
-use crate::seq::Trajectory;
 use crate::Bits;
-
-/// Per-cycle switching activity of one simulated sequence, with helpers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivityProfile {
-    /// `swa[i]` for each applied cycle (`None` at index 0).
-    pub per_cycle: Vec<Option<f64>>,
-}
-
-impl ActivityProfile {
-    /// Extract the profile from a recorded trajectory.
-    pub fn from_trajectory(t: &Trajectory) -> Self {
-        ActivityProfile {
-            per_cycle: t.swa.clone(),
-        }
-    }
-
-    /// The peak defined switching activity (0.0 when nothing is defined).
-    pub fn peak(&self) -> f64 {
-        self.per_cycle
-            .iter()
-            .flatten()
-            .fold(0.0f64, |a, &b| a.max(b))
-    }
-
-    /// Mean of the defined per-cycle activities.
-    pub fn mean(&self) -> f64 {
-        let defined: Vec<f64> = self.per_cycle.iter().flatten().copied().collect();
-        if defined.is_empty() {
-            0.0
-        } else {
-            defined.iter().sum::<f64>() / defined.len() as f64
-        }
-    }
-
-    /// Index of the first cycle whose activity exceeds `bound`, if any.
-    ///
-    /// This is the violation test of the multi-segment construction procedure
-    /// (paper Fig. 4.9): a primary-input segment ends just before the first
-    /// violating cycle.
-    pub fn first_violation(&self, bound: f64) -> Option<usize> {
-        self.per_cycle
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.is_some_and(|v| v > bound))
-            .map(|(i, _)| i)
-    }
-}
 
 /// Compute the peak switching activity of `net` over a set of input
 /// sequences, each applied from `initial_state` — the paper's `SWAfunc`
@@ -109,25 +61,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn profile_peak_and_mean() {
-        let net = s27();
-        let t = simulate_sequence(&net, &Bits::zeros(3), &toggling_sequence(10));
-        let p = ActivityProfile::from_trajectory(&t);
-        assert!(p.peak() > 0.0);
-        assert!(p.mean() <= p.peak());
-    }
-
-    #[test]
-    fn first_violation_finds_bound_crossing() {
-        let net = s27();
-        let t = simulate_sequence(&net, &Bits::zeros(3), &toggling_sequence(10));
-        let p = ActivityProfile::from_trajectory(&t);
-        // bound below peak -> there is a violation; bound at/above peak -> none.
-        assert!(p.first_violation(p.peak() - 1e-9).is_some());
-        assert!(p.first_violation(p.peak()).is_none());
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl Bits {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Expand to a `Vec<bool>`.
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
-    }
-
     /// The underlying words (tail bits are zero).
     pub fn words(&self) -> &[u64] {
         &self.words

@@ -683,25 +683,6 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Peek the global cache for an already-compiled kernel by its
-/// [`structural_digest`], without building on a miss and without touching
-/// the hit/build counters (this is an observation, not a use — counters
-/// keep measuring real compilation demand). A present entry is refreshed in
-/// the LRU order.
-///
-/// This is how long-lived services (the `fbt-serve` shard pool) pin kernel
-/// handles per worker: look up by the digest recorded in a
-/// content-addressed store, and fall back to [`Kernel::for_netlist`] only
-/// when the parsed circuit is at hand.
-pub fn cache_lookup(digest: u128) -> Option<Arc<Kernel>> {
-    let mut cache = cache().lock().expect("kernel cache poisoned");
-    let pos = cache.iter().position(|(d, _)| *d == digest)?;
-    let hit = cache.remove(pos);
-    let kernel = hit.1.clone();
-    cache.insert(0, hit); // move-to-front LRU
-    Some(kernel)
-}
-
 /// Number of kernels currently resident in the global cache (bounded by the
 /// LRU cap).
 pub fn cache_len() -> usize {
@@ -919,30 +900,6 @@ mod tests {
         assert!(Arc::ptr_eq(&ka, &kb), "identical structures share a kernel");
         let delta = cache_stats().since(&before);
         assert!(delta.hits >= 1, "second lookup hits the cache");
-    }
-
-    #[test]
-    fn cache_lookup_peeks_without_counting_or_building() {
-        let net = s27();
-        let digest = structural_digest(&net);
-        let kernel = Kernel::for_netlist(&net); // ensure resident
-
-        // Concurrent tests share the global counters, so look for one quiet
-        // window: a peek that counted would show up in every window.
-        let quiet = (0..100).any(|_| {
-            let before = cache_stats();
-            let peeked = cache_lookup(digest).expect("s27 kernel is resident");
-            assert!(
-                Arc::ptr_eq(&kernel, &peeked),
-                "peek returns the shared handle"
-            );
-            let delta = cache_stats().since(&before);
-            delta.builds == 0 && delta.hits == 0
-        });
-        assert!(quiet, "peek never builds and never counts as a hit");
-        // An unknown digest misses without side effects.
-        assert!(cache_lookup(digest ^ 1).is_none());
-        assert!(cache_len() >= 1);
     }
 
     #[test]

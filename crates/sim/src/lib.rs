@@ -14,13 +14,12 @@
 //! * **Scalar three-valued** ([`tv`]) — 0/1/X simulation used for primary
 //!   input cube computation, necessary assignments and case analysis.
 //!
-//! The hot paths of all three flavours are served by [`kernel`]: a cached,
-//! per-circuit compiled bytecode program (fused superinstructions scheduled
-//! into single-opcode runs, fault-site patch slots, dual-rail three-valued
-//! evaluation) that is pinned bit-identical to the gate-walking
-//! interpreters ([`comb::eval_scalar`], [`comb::eval_packed`],
-//! [`tv::eval_tv`]) by differential suites. The interpreters remain the
-//! oracles.
+//! Both two-valued flavours run on [`kernel`]: a cached, per-circuit
+//! compiled bytecode program (fused superinstructions scheduled into
+//! single-opcode runs, fault-site patch slots) that is pinned bit-identical
+//! to the gate-walking interpreters ([`comb::eval_scalar`],
+//! [`comb::eval_packed`]) by differential suites. The interpreters remain
+//! the oracles. Three-valued simulation walks the netlist directly.
 //!
 //! [`Bits`] is the packed bitvector used for states, input vectors and
 //! responses throughout the workspace.

@@ -262,6 +262,10 @@ echo "== golden Chapter-4 outcomes (bit-identity vs committed fixtures) =="
 # references.
 cargo test --release -q -p fbt-core --test golden_ch4
 cargo test --release -q -p fbt-core --test speculative_determinism
+# The check of §4.1 that does not go through the simulator: SAT certifies
+# every scan-in state of the unconstrained and constrained programs as
+# reachable from reset within 8 cycles.
+cargo test --release -q -p fbt-core --test certify_programs
 
 echo "== bench_ch4 smoke (speculative search stats + JSON) =="
 # One small constrained generation with stats printing (restricted to one
@@ -302,6 +306,7 @@ echo "== fbt-serve smoke (HTTP job service + loadgen + graceful shutdown) =="
 # latency percentiles. The loadgen --shutdown flag then drains the server
 # through POST /admin/shutdown; the server process must exit 0 on its own
 # (no kill), which is the graceful-shutdown gate.
+cargo build --release -q -p fbt-serve
 serve_port_file=$(mktemp); rm -f "${serve_port_file}"
 serve_out=$(mktemp)
 target/release/fbt-serve --addr 127.0.0.1:0 --shards 2 --workers 2 \
