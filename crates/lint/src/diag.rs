@@ -153,12 +153,6 @@ impl LintReport {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// Consume the report, returning its diagnostics in insertion order
-    /// (unsorted; the incremental cache stores per-group slices this way).
-    pub fn take_diagnostics(self) -> Vec<Diagnostic> {
-        self.diagnostics
-    }
-
     /// The diagnostics in canonical order (sorts in place first).
     pub fn diagnostics(&mut self) -> &[Diagnostic] {
         self.sort();

@@ -12,21 +12,12 @@
 use std::collections::HashMap;
 
 use fbt_netlist::{GateKind, Netlist, NodeId};
-use fbt_sat::{portfolio, solve_portfolio, CnfFormula};
+use fbt_sat::{CnfFormula, Solver};
 
 use crate::diag::{Diagnostic, LintReport, Severity};
 
 /// Cap on reported duplicate pairs (each costs one SAT solve).
 const PAIR_CAP: usize = 25;
-
-/// CNF variable count above which an equivalence query races a solver
-/// portfolio instead of a single canonical solver. Small cones solve in
-/// microseconds; spawning threads for them would cost more than it saves.
-const PORTFOLIO_VAR_THRESHOLD: usize = 2000;
-
-/// Portfolio width cap for equivalence queries (further clamped to the
-/// machine's available parallelism).
-const PORTFOLIO_MAX_THREADS: usize = 4;
 
 /// Structurally duplicate gate pairs `(kept, duplicate)` in first-seen
 /// order, before SAT confirmation.
@@ -68,17 +59,8 @@ pub fn candidate_pairs(net: &Netlist) -> Vec<(usize, usize)> {
 
 /// Prove two nodes equivalent with an XOR miter over one combinational
 /// frame (sources free). `true` means UNSAT — no assignment distinguishes
-/// them. Thread count is chosen automatically: large cones race a
-/// diversified-seed portfolio, small ones stay on the canonical solver.
+/// them.
 pub fn confirm_equivalent(net: &Netlist, a: usize, b: usize) -> bool {
-    confirm_equivalent_threads(net, a, b, 0)
-}
-
-/// [`confirm_equivalent`] with an explicit solver count: `0` = auto
-/// (portfolio only above the `fbt-sat` variable threshold), `1` =
-/// canonical solver, `n > 1` = race `n` diversified seeds. The verdict is
-/// identical for every choice — only wall-clock differs.
-pub fn confirm_equivalent_threads(net: &Netlist, a: usize, b: usize, threads: usize) -> bool {
     let mut cnf = CnfFormula::new();
     let vars: Vec<_> = (0..net.num_nodes()).map(|_| cnf.new_var()).collect();
     for &g in net.eval_order() {
@@ -93,16 +75,7 @@ pub fn confirm_equivalent_threads(net: &Netlist, a: usize, b: usize, threads: us
     let m = cnf.new_var();
     cnf.xor2_gate(m.pos(), vars[a].pos(), vars[b].pos());
     cnf.add_clause(&[m.pos()]);
-    let threads = if threads == 0 {
-        if cnf.num_vars() > PORTFOLIO_VAR_THRESHOLD {
-            portfolio::portfolio_width(PORTFOLIO_MAX_THREADS)
-        } else {
-            1
-        }
-    } else {
-        threads
-    };
-    solve_portfolio(&cnf, threads).result.is_unsat()
+    Solver::from_cnf(&cnf).solve().is_unsat()
 }
 
 /// `dup-cone`: report SAT-confirmed structurally duplicate gates.

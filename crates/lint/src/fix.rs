@@ -32,9 +32,9 @@
 //! Batches run in a deterministic fixpoint (const-fold, chain-collapse,
 //! dup-dedup, dead-cone; re-lint; repeat) until a round applies nothing or
 //! [`FixConfig::max_rounds`] is hit. Proposers are pure functions of the
-//! circuit, the certifier's verdict is thread-count independent (see
-//! [`fbt_sat::portfolio`]), and witness models are re-derived canonically,
-//! so the repaired netlist and the fix report are byte-reproducible.
+//! circuit and the certifier runs one deterministic CDCL solve per batch,
+//! so verdicts and counterexample witnesses, and with them the repaired
+//! netlist and the fix report, are byte-reproducible.
 //!
 //! One repair precedes the fixpoint: a circuit that fails to *build* only
 //! because of undriven nets is repaired at the `.bench` level by stubbing
@@ -62,25 +62,13 @@ use crate::{dupes, structural};
 pub struct FixConfig {
     /// Fixpoint round cap: each round proposes every batch kind once.
     pub max_rounds: usize,
-    /// SAT solver count for certification: `0` = auto (portfolio for large
-    /// miters only), `1` = canonical solver, `n` = race `n` seeds.
-    pub sat_threads: usize,
 }
 
 impl Default for FixConfig {
     fn default() -> Self {
-        FixConfig {
-            max_rounds: 8,
-            sat_threads: 0,
-        }
+        FixConfig { max_rounds: 8 }
     }
 }
-
-/// Miter variable count above which certification races a portfolio.
-const PORTFOLIO_VAR_THRESHOLD: usize = 2000;
-
-/// Portfolio width cap for certification queries.
-const PORTFOLIO_MAX_THREADS: usize = 4;
 
 /// How an applied fix was certified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,20 +203,11 @@ pub enum Certified {
 /// Apply `rw` to `net` and certify the result with an XOR-miter over all
 /// POs and next-state lines. `Err` means the rewrite itself was rejected
 /// (structurally invalid); `Ok(Refuted(..))` means it built but is not
-/// equivalent. `threads` as in [`FixConfig::sat_threads`].
-pub fn certify_rewrite(net: &Netlist, rw: &Rewrite, threads: usize) -> Result<Certified, String> {
+/// equivalent.
+pub fn certify_rewrite(net: &Netlist, rw: &Rewrite) -> Result<Certified, String> {
     let result = rw.apply(net).map_err(|e| e.to_string())?;
     let miter = Miter::build(net, &result.net).map_err(|e| e.to_string())?;
-    let threads = if threads == 0 {
-        if miter.num_vars() > PORTFOLIO_VAR_THRESHOLD {
-            fbt_sat::portfolio::portfolio_width(PORTFOLIO_MAX_THREADS)
-        } else {
-            1
-        }
-    } else {
-        threads
-    };
-    match miter.solve(threads) {
+    match miter.solve() {
         MiterOutcome::Equivalent => Ok(Certified::Equivalent(result)),
         MiterOutcome::NotEquivalent(w) => Ok(Certified::Refuted(w)),
     }
@@ -342,14 +321,14 @@ fn fixpoint(initial: Netlist, cfg: &FixConfig, out: &mut FixOutcome) {
             let proposal = match rule {
                 "const-fold" => propose_const_fold(&current),
                 "chain-collapse" => propose_chain_collapse(&current),
-                "dup-dedup" => propose_dup_dedup(&current, cfg.sat_threads),
+                "dup-dedup" => propose_dup_dedup(&current),
                 _ => propose_dead_cone(&current),
             };
             let Some((rw, description)) = proposal else {
                 continue;
             };
             let started = Instant::now();
-            let verdict = certify_rewrite(&current, &rw, cfg.sat_threads);
+            let verdict = certify_rewrite(&current, &rw);
             out.miter_queries += 1;
             out.miter_micros += started.elapsed().as_micros();
             match verdict {
@@ -581,7 +560,7 @@ fn propose_chain_collapse(net: &Netlist) -> Option<(Rewrite, String)> {
 }
 
 /// Propose the dup-dedup batch (see module docs).
-fn propose_dup_dedup(net: &Netlist, threads: usize) -> Option<(Rewrite, String)> {
+fn propose_dup_dedup(net: &Netlist) -> Option<(Rewrite, String)> {
     let pairs = dupes::candidate_pairs(net);
     if pairs.is_empty() {
         return None;
@@ -589,7 +568,7 @@ fn propose_dup_dedup(net: &Netlist, threads: usize) -> Option<(Rewrite, String)>
     let mut rw = Rewrite::new();
     let mut merged = 0usize;
     for (kept, dup) in pairs {
-        if !dupes::confirm_equivalent_threads(net, kept, dup, threads) {
+        if !dupes::confirm_equivalent(net, kept, dup) {
             continue; // hash/semantics drift: leave it to the dup-cone rule
         }
         let kept_id = NodeId(kept as u32);
@@ -694,7 +673,7 @@ mod tests {
             .iter()
             .all(|f| f.certificate == Certificate::MiterUnsat));
         // The repaired circuit is equivalent to the original end-to-end.
-        assert!(fbt_sat::check_equivalence(&net, repaired, 1)
+        assert!(fbt_sat::check_equivalence(&net, repaired)
             .unwrap()
             .is_equivalent());
         // The dangling XOR and the spliced buffers are gone.
@@ -741,7 +720,7 @@ mod tests {
         let net = b.finish().unwrap();
         let mut rw = Rewrite::new();
         rw.redefine("y", GateKind::Or, vec!["a".to_string(), "c".to_string()]);
-        match certify_rewrite(&net, &rw, 1).unwrap() {
+        match certify_rewrite(&net, &rw).unwrap() {
             Certified::Refuted(w) => {
                 let rendered = w.render();
                 // AND vs OR differ exactly when the inputs differ.

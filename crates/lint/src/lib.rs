@@ -28,9 +28,7 @@
 //!   oracle consumed by `fbt-atpg` and `fbt-core` before spending budget;
 //! * [`fix`] — SAT-certified autofixes (`fbt-lint --fix`): mechanical
 //!   repairs for the structural rules, each batch proven equivalent by an
-//!   XOR-miter before it is committed;
-//! * [`cache`] — the digest-keyed incremental cache behind
-//!   [`lint_netlist_cached`].
+//!   XOR-miter before it is committed.
 //!
 //! # Example
 //!
@@ -41,7 +39,6 @@
 //! assert!(report.any_at_least(Severity::Error)); // comb-cycle
 //! ```
 
-pub mod cache;
 pub mod constraints;
 pub mod diag;
 pub mod dupes;
@@ -53,9 +50,6 @@ pub mod rules;
 pub mod scoap;
 pub mod structural;
 
-pub use cache::{
-    lint_constraints_cached, lint_netlist_cached, lint_raw_cached, GroupPerf, LintPerf,
-};
 pub use constraints::ConstraintSet;
 pub use diag::{Diagnostic, LintReport, Severity};
 pub use fix::{fix_bench_text, fix_netlist, fix_raw, fix_text, FixConfig, FixOutcome};

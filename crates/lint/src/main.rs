@@ -12,7 +12,8 @@
 //! --json         emit one machine-readable JSON report per subject to
 //!                stdout (timing goes to stderr; the report body stays
 //!                bit-identical across runs — only the trailing `perf` key
-//!                carries wall-clock values)
+//!                carries wall-clock values: the subject's time and the fix
+//!                engine's miter effort)
 //! --netlist      lint file subjects through the strict netlist route
 //!                (name-based locations, same report a catalog subject
 //!                gets) instead of the tolerant raw route with line-based
@@ -49,8 +50,8 @@ use std::time::Instant;
 
 use fbt_lint::fix::{self, FixConfig, FixOutcome};
 use fbt_lint::{
-    lint_constraints_cached, lint_netlist_cached, lint_raw_cached, Diagnostic, LintPerf,
-    LintReport, RuleFilter, Severity,
+    constraints, lint_netlist, lint_raw, ConstraintSet, Diagnostic, LintReport, RuleFilter,
+    Severity,
 };
 use fbt_netlist::frontend::{self, Format};
 use fbt_netlist::{synth, Netlist};
@@ -185,7 +186,6 @@ enum Circuit {
 /// its circuit source.
 struct Resolved {
     report: LintReport,
-    perf: LintPerf,
     name: String,
     format: Format,
     pi_names: Vec<String>,
@@ -198,11 +198,9 @@ fn resolve_net(net: Netlist) -> Resolved {
         .iter()
         .map(|&id| net.node_name(id).to_string())
         .collect();
-    let (report, perf) = lint_netlist_cached(&net);
     Resolved {
         name: net.name().to_string(),
-        report,
-        perf,
+        report: lint_netlist(&net),
         format: Format::Bench,
         pi_names,
         circuit: Circuit::Net(net),
@@ -244,11 +242,9 @@ fn lint_subject(subject: &str, scale: u64, netlist_route: bool) -> Result<Resolv
                     .filter(|n| n.kind == Some(fbt_netlist::GateKind::Input))
                     .map(|n| n.name.clone())
                     .collect();
-                let (report, perf) = lint_raw_cached(&raw, &text);
                 Resolved {
                     name: raw.name.clone(),
-                    report,
-                    perf,
+                    report: lint_raw(&raw),
                     format,
                     pi_names,
                     circuit: Circuit::Text(text, format),
@@ -256,7 +252,6 @@ fn lint_subject(subject: &str, scale: u64, netlist_route: bool) -> Result<Resolv
             }
             Err(_) => Resolved {
                 report: fbt_lint::lint_text(&text, name, format),
-                perf: LintPerf::default(),
                 name: name.to_string(),
                 format,
                 pi_names: Vec::new(),
@@ -332,21 +327,11 @@ fn fix_diagnostics(name: &str, outcome: &FixOutcome) -> Vec<Diagnostic> {
     diags
 }
 
-/// Render the non-golden `perf` object appended to `--json` reports.
-fn perf_json(perf: &LintPerf, outcome: Option<&FixOutcome>) -> String {
+/// Render the non-golden `perf` object appended to `--json` reports: the
+/// subject's wall-clock microseconds and the fix engine's miter effort.
+fn perf_json(micros: u128, outcome: Option<&FixOutcome>) -> String {
     let mut o = fbt_netlist::json::ObjWriter::new();
-    let mut groups = fbt_netlist::json::ArrWriter::new();
-    for g in &perf.groups {
-        let mut go = fbt_netlist::json::ObjWriter::new();
-        go.str("group", g.group)
-            .num("micros", g.micros)
-            .str("cache", if g.cache_hit { "hit" } else { "miss" })
-            .num("findings", g.findings);
-        groups.raw(&go.finish());
-    }
-    o.raw("groups", &groups.finish());
-    o.num("cache_hits", perf.hits());
-    o.num("cache_misses", perf.misses());
+    o.num("micros", micros);
     o.num("miter_queries", outcome.map_or(0, |f| f.miter_queries));
     o.num("miter_micros", outcome.map_or(0, |f| f.miter_micros));
     o.finish()
@@ -389,7 +374,6 @@ fn main() {
         };
         let Resolved {
             mut report,
-            mut perf,
             name,
             format,
             pi_names,
@@ -419,9 +403,7 @@ fn main() {
         if let Some(outcome) = &fix_outcome {
             if let Some(repaired) = &outcome.repaired {
                 // The report now describes the repaired circuit.
-                let (fixed_report, fixed_perf) = lint_netlist_cached(repaired);
-                report = fixed_report;
-                perf.absorb(fixed_perf);
+                report = lint_netlist(repaired);
                 if !opts.fix_dry_run {
                     let path = opts
                         .fix_out
@@ -447,9 +429,9 @@ fn main() {
         }
 
         if let Some(text) = constraint_text.as_deref() {
-            let (creport, cperf) = lint_constraints_cached(&name, &pi_names, text);
-            report.extend(creport);
-            perf.absorb(cperf);
+            let set = ConstraintSet::parse(text, &name, &mut report);
+            let refs: Vec<&str> = pi_names.iter().map(String::as_str).collect();
+            constraints::run_names(&name, &refs, &set, &mut report);
         }
         opts.filter.apply(&mut report);
         if opts.filter.fails(&mut report) {
@@ -460,7 +442,10 @@ fn main() {
             if let Some(outcome) = &fix_outcome {
                 extra.push(("fix", outcome.to_json()));
             }
-            extra.push(("perf", perf_json(&perf, fix_outcome.as_ref())));
+            extra.push((
+                "perf",
+                perf_json(t0.elapsed().as_micros(), fix_outcome.as_ref()),
+            ));
             writeln!(out, "{}", splice_keys(&report.to_json(), &extra))
         } else {
             write!(out, "{}", report.to_pretty())

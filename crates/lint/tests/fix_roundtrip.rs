@@ -127,7 +127,7 @@ fn miter_rejects_a_deliberately_wrong_rewrite() {
 
     let mut rw = Rewrite::new();
     rw.redefine("y", GateKind::Or, vec!["a".to_string(), "c".to_string()]);
-    match certify_rewrite(&net, &rw, 1).expect("rewrite applies") {
+    match certify_rewrite(&net, &rw).expect("rewrite applies") {
         Certified::Equivalent(_) => panic!("AND -> OR must be refuted"),
         Certified::Refuted(witness) => {
             let rendered = witness.render();
@@ -142,7 +142,7 @@ fn miter_rejects_a_deliberately_wrong_rewrite() {
     let mut rw = Rewrite::new();
     rw.redefine("y", GateKind::And, vec!["c".to_string(), "a".to_string()]);
     assert!(matches!(
-        certify_rewrite(&net, &rw, 1).expect("rewrite applies"),
+        certify_rewrite(&net, &rw).expect("rewrite applies"),
         Certified::Equivalent(_)
     ));
 }

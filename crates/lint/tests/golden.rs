@@ -1,11 +1,15 @@
 //! Golden-file tests: the lint reports for the seeded bad circuit and for
-//! s27 must stay byte-identical to the JSON checked in under
-//! `tests/golden/`. CI diffs the CLI output against the same files; these
-//! tests prove the library produces the exact same bytes in-process.
+//! every catalog circuit with a `tests/golden/s*.json` file must stay
+//! byte-identical to the JSON checked in there. CI diffs the CLI output
+//! against the same files; these tests prove the library produces the exact
+//! same bytes in-process, through the same calls the CLI makes
+//! (`lint_netlist`, `lint_raw`, `ConstraintSet::parse` plus
+//! `constraints::run_names`).
 
 use std::path::Path;
 
 use fbt_lint::{lint_bench_text, lint_netlist, ConstraintSet, LintReport, RuleFilter};
+use fbt_netlist::synth;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -79,6 +83,41 @@ fn s27_matches_golden_json_and_passes() {
     let filter = RuleFilter::default();
     filter.apply(&mut report);
     assert!(!filter.fails(&mut report), "{:?}", report.diagnostics());
+}
+
+/// s9234 is in the set on purpose: each of its 14 `dup-cone` proofs encodes
+/// the whole 5,844-node netlist, the largest SAT queries any golden pins.
+#[test]
+fn every_catalog_golden_matches_in_process() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .filter_map(|entry| {
+            let file = entry
+                .expect("directory entry")
+                .file_name()
+                .into_string()
+                .ok()?;
+            let stem = file.strip_suffix(".json")?;
+            stem.starts_with('s').then(|| stem.to_string())
+        })
+        .collect();
+    names.sort();
+    assert!(names.iter().any(|n| n == "s9234"), "{names:?}");
+    for name in names {
+        // The CLI's catalog resolution: s27 is the genuine ISCAS89 circuit.
+        let net = if name == "s27" {
+            fbt_netlist::s27()
+        } else {
+            let spec = synth::find(&name).unwrap_or_else(|| panic!("{name} is not in the catalog"));
+            synth::generate(&spec)
+        };
+        assert_eq!(
+            lint_netlist(&net).to_json() + "\n",
+            golden(&format!("{name}.json")),
+            "{name}"
+        );
+    }
 }
 
 #[test]

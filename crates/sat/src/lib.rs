@@ -31,7 +31,6 @@ pub mod broadside;
 pub mod cnf;
 pub mod lit;
 pub mod miter;
-pub mod portfolio;
 pub mod reach;
 pub mod solver;
 pub mod unroll;
@@ -40,7 +39,6 @@ pub use broadside::{solve_tpdf, solve_transition_fault, BroadsideEncoding, Detec
 pub use cnf::CnfFormula;
 pub use lit::{Lit, Var};
 pub use miter::{check_equivalence, Miter, MiterError, MiterOutcome, MiterWitness};
-pub use portfolio::{solve_portfolio, solve_portfolio_canonical, PortfolioOutcome};
 pub use reach::{bounded_reach, replay_witness, Reachability};
 pub use solver::{Model, SatResult, Solver, SolverStats};
 pub use unroll::{FrameState, Unroller};

@@ -24,8 +24,7 @@ use fbt_netlist::{GateKind, Netlist};
 
 use crate::cnf::CnfFormula;
 use crate::lit::{Lit, Var};
-use crate::portfolio::{solve_portfolio_canonical, PortfolioOutcome};
-use crate::solver::SatResult;
+use crate::solver::{SatResult, Solver};
 
 /// Why two netlists cannot be mitered at all (interface mismatch — distinct
 /// from *inequivalence*, which the solver decides).
@@ -216,21 +215,10 @@ impl Miter {
         Ok(Miter { cnf, sources })
     }
 
-    /// Number of CNF variables in the miter (a proxy for query size used to
-    /// decide whether a portfolio race pays for its thread spawns).
-    pub fn num_vars(&self) -> usize {
-        self.cnf.num_vars()
-    }
-
-    /// Solve the miter with a portfolio of `threads` diversified solvers
-    /// (1 = the canonical solver, no spawning).
-    ///
-    /// The verdict is deterministic across thread counts; a SAT model is
-    /// re-derived with the canonical solver, so the returned witness is
-    /// byte-identical across runs and thread counts too.
-    pub fn solve(&self, threads: usize) -> MiterOutcome {
-        let PortfolioOutcome { result, .. } = solve_portfolio_canonical(&self.cnf, threads);
-        match result {
+    /// Solve the miter. The solver is deterministic, so the verdict and a
+    /// SAT witness are byte-identical across runs.
+    pub fn solve(&self) -> MiterOutcome {
+        match Solver::from_cnf(&self.cnf).solve() {
             SatResult::Unsat => MiterOutcome::Equivalent,
             SatResult::Sat(model) => {
                 let assignment = self
@@ -240,7 +228,7 @@ impl Miter {
                     .collect();
                 MiterOutcome::NotEquivalent(MiterWitness { assignment })
             }
-            SatResult::Unknown => unreachable!("portfolio discards Unknown verdicts"),
+            SatResult::Unknown => unreachable!("an unlimited solve always concludes"),
         }
     }
 }
@@ -250,12 +238,8 @@ impl Miter {
 /// # Errors
 ///
 /// Propagates [`MiterError`] from [`Miter::build`].
-pub fn check_equivalence(
-    left: &Netlist,
-    right: &Netlist,
-    threads: usize,
-) -> Result<MiterOutcome, MiterError> {
-    Ok(Miter::build(left, right)?.solve(threads))
+pub fn check_equivalence(left: &Netlist, right: &Netlist) -> Result<MiterOutcome, MiterError> {
+    Ok(Miter::build(left, right)?.solve())
 }
 
 #[cfg(test)]
@@ -270,12 +254,7 @@ mod tests {
     #[test]
     fn identical_netlists_are_equivalent() {
         let n = s27();
-        for threads in [1, 2] {
-            assert_eq!(
-                check_equivalence(&n, &n, threads).unwrap(),
-                MiterOutcome::Equivalent
-            );
-        }
+        assert_eq!(check_equivalence(&n, &n).unwrap(), MiterOutcome::Equivalent);
     }
 
     #[test]
@@ -285,17 +264,14 @@ mod tests {
             "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nnx = NOT(x)\nny = NOT(y)\nz = OR(nx, ny)\n",
             "b",
         );
-        assert_eq!(
-            check_equivalence(&a, &b, 1).unwrap(),
-            MiterOutcome::Equivalent
-        );
+        assert_eq!(check_equivalence(&a, &b).unwrap(), MiterOutcome::Equivalent);
     }
 
     #[test]
     fn wrong_rewrite_yields_witness() {
         let a = parse("INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = AND(x, y)\n", "a");
         let b = parse("INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = OR(x, y)\n", "b");
-        let MiterOutcome::NotEquivalent(w) = check_equivalence(&a, &b, 1).unwrap() else {
+        let MiterOutcome::NotEquivalent(w) = check_equivalence(&a, &b).unwrap() else {
             panic!("AND vs OR must differ");
         };
         // The witness must actually distinguish AND from OR: exactly one
@@ -306,22 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn witness_is_canonical_across_thread_counts() {
-        let a = parse("INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = XOR(x, y)\n", "a");
-        let b = parse("INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = XNOR(x, y)\n", "b");
-        let w1 = check_equivalence(&a, &b, 1).unwrap();
-        for threads in [2, 4] {
-            assert_eq!(check_equivalence(&a, &b, threads).unwrap(), w1);
-        }
-    }
-
-    #[test]
     fn next_state_lines_are_compared() {
         // Same (absent) POs, same FF, different D logic: must differ.
         let a = parse("INPUT(x)\nq = DFF(d)\nd = BUFF(x)\nOUTPUT(q)\n", "a");
         let b = parse("INPUT(x)\nq = DFF(d)\nd = NOT(x)\nOUTPUT(q)\n", "b");
         assert!(matches!(
-            check_equivalence(&a, &b, 1).unwrap(),
+            check_equivalence(&a, &b).unwrap(),
             MiterOutcome::NotEquivalent(_)
         ));
     }
@@ -331,14 +297,11 @@ mod tests {
         // The stub input must not affect the output for equivalence...
         let a = parse("INPUT(x)\nOUTPUT(z)\nz = BUFF(x)\n", "a");
         let b = parse("INPUT(x)\nINPUT(stub)\nOUTPUT(z)\nz = BUFF(x)\n", "b");
-        assert_eq!(
-            check_equivalence(&a, &b, 1).unwrap(),
-            MiterOutcome::Equivalent
-        );
+        assert_eq!(check_equivalence(&a, &b).unwrap(), MiterOutcome::Equivalent);
         // ...and when it does, the circuits are not equivalent.
         let c = parse("INPUT(x)\nINPUT(stub)\nOUTPUT(z)\nz = AND(x, stub)\n", "c");
         assert!(matches!(
-            check_equivalence(&a, &c, 1).unwrap(),
+            check_equivalence(&a, &c).unwrap(),
             MiterOutcome::NotEquivalent(_)
         ));
     }

@@ -22,8 +22,6 @@
 //! reduction pays off, and never deleting keeps the solver simpler to audit.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crate::cnf::CnfFormula;
 use crate::lit::{Lit, Var};
@@ -174,9 +172,6 @@ pub struct Solver {
     heap: Vec<Var>,
     heap_pos: Vec<usize>,
     ok: bool,
-    /// Cooperative cancellation flag (portfolio racing): checked
-    /// periodically inside `solve*`, which returns `Unknown` once raised.
-    abort: Option<Arc<AtomicBool>>,
     /// Statistics of all `solve*` calls so far.
     pub stats: SolverStats,
 }
@@ -205,7 +200,6 @@ impl Solver {
             heap: Vec::new(),
             heap_pos: Vec::new(),
             ok: true,
-            abort: None,
             stats: SolverStats::default(),
         }
     }
@@ -296,54 +290,15 @@ impl Solver {
         }
     }
 
-    /// Install a cooperative cancellation flag. While the flag is raised,
-    /// `solve*` calls return [`SatResult::Unknown`] at the next periodic
-    /// check instead of continuing the search.
-    ///
-    /// This is the hook the portfolio racer uses to stop losing solvers; a
-    /// solver without a flag behaves exactly as before (determinism of the
-    /// single-solver search is untouched).
-    pub fn set_abort(&mut self, flag: Arc<AtomicBool>) {
-        self.abort = Some(flag);
-    }
-
-    /// Perturb the decision heuristic with a deterministic seed.
-    ///
-    /// Seed 0 is the canonical solver: a no-op. Any other seed flips initial
-    /// phase-saving polarities pseudo-randomly (xorshift) and adds a tiny
-    /// activity jitter (orders of magnitude below one `var_inc` bump, so it
-    /// only rearranges ties), then restores the heap order. Two solvers
-    /// diversified with different seeds explore the search space in
-    /// different orders while remaining individually deterministic — the
-    /// basis of the diversified-seed portfolio.
-    ///
-    /// Must be called before the first `solve*` call.
-    pub fn diversify(&mut self, seed: u64) {
-        if seed == 0 {
-            return;
-        }
-        let mut state = seed | 1;
-        for vi in 0..self.num_vars() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            self.polarity[vi] = state & 1 == 1;
-            self.activity[vi] += ((state >> 1) & 0xffff) as f64 * 1e-12;
-        }
-        // Restore the heap invariant under the jittered activities.
-        for k in (0..self.heap.len() / 2).rev() {
-            self.heap_sift_down(k);
-        }
-    }
-
-    /// Solve with no conflict budget: always returns `Sat` or `Unsat`
-    /// (or `Unknown` if an abort flag installed via [`Solver::set_abort`]
-    /// is raised mid-search).
+    /// Solve with no conflict budget: always returns `Sat` or `Unsat`.
     pub fn solve(&mut self) -> SatResult {
         self.solve_limited(u64::MAX)
     }
 
-    /// Solve with a conflict budget; returns `Unknown` when it runs out.
+    /// Solve with a conflict budget; returns `Unknown` when it runs out (a
+    /// budget of 0 stops at the first conflict, like a budget of 1). The
+    /// solver is back at decision level 0 either way, so clauses can be
+    /// added and the search resumed.
     pub fn solve_limited(&mut self, max_conflicts: u64) -> SatResult {
         if !self.ok {
             return SatResult::Unsat;
@@ -351,18 +306,7 @@ impl Solver {
         let mut conflicts_left = max_conflicts;
         let mut restart_idx: u64 = 1;
         let mut restart_budget = luby(restart_idx) * 64;
-        let mut since_abort_check = 0u32;
         loop {
-            since_abort_check += 1;
-            if since_abort_check >= 64 {
-                since_abort_check = 0;
-                if let Some(flag) = &self.abort {
-                    if flag.load(Ordering::Relaxed) {
-                        self.cancel_until(0);
-                        return SatResult::Unknown;
-                    }
-                }
-            }
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
@@ -373,13 +317,7 @@ impl Solver {
                 self.cancel_until(back_level);
                 self.learn(learnt);
                 self.decay_activity();
-                if conflicts_left == 0 {
-                    // Deterministic budget accounting happens before the
-                    // decrement below, so this is unreachable; kept for
-                    // clarity against future edits.
-                    return SatResult::Unknown;
-                }
-                conflicts_left -= 1;
+                conflicts_left = conflicts_left.saturating_sub(1);
                 if conflicts_left == 0 {
                     self.cancel_until(0);
                     return SatResult::Unknown;
@@ -793,6 +731,13 @@ mod tests {
         let mut s = pigeonhole(4, 3);
         assert_eq!(s.solve_limited(1), SatResult::Unknown);
         // And the full search still finishes it off afterwards.
+        assert!(s.solve().is_unsat());
+
+        // A budget of 0 must also leave the solver at level 0: adding a
+        // clause afterwards is legal and the search still concludes.
+        let mut s = pigeonhole(4, 3);
+        assert_eq!(s.solve_limited(0), SatResult::Unknown);
+        s.add_clause(&[Var(0).pos(), Var(1).pos(), Var(2).pos()]);
         assert!(s.solve().is_unsat());
     }
 

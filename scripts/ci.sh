@@ -40,9 +40,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "== fbt-lint golden reports =="
 # Every bundled benchmark's JSON report must be bit-identical to the
 # checked-in golden file, and well-formed JSON. The --json payload now
-# carries spliced "fix"/"perf" keys (per-rule wall-clock and cache
-# counters); the helper asserts they are well-formed, then strips them so
-# the pinned report bodies stay byte-comparable.
+# carries spliced "fix"/"perf" keys (the subject's wall-clock and the fix
+# engine's miter effort); the helper asserts they are well-formed, then
+# strips them so the pinned report bodies stay byte-comparable.
 cargo build --release -q -p fbt-lint
 lint_bin=target/release/fbt-lint
 lint_out=$(mktemp)
@@ -53,11 +53,11 @@ import json, sys
 raw = open(sys.argv[1]).read().rstrip("\n")
 d = json.loads(raw)
 perf = d["perf"]
-assert perf["groups"], "no per-rule perf groups in --json output"
-for g in perf["groups"]:
-    assert g["cache"] in ("hit", "miss"), g
-    assert isinstance(g["micros"], int) and g["micros"] >= 0, g
-assert perf["cache_hits"] + perf["cache_misses"] >= len(perf["groups"]), perf
+assert sorted(perf) == ["micros", "miter_micros", "miter_queries"], perf
+for key, value in perf.items():
+    assert isinstance(value, int) and value >= 0, (key, perf)
+if "fix" not in d:
+    assert perf["miter_queries"] == perf["miter_micros"] == 0, perf
 cuts = [i for i in (raw.find(',"fix":'), raw.find(',"perf":')) if i != -1]
 body = raw[: min(cuts)] + "}" if cuts else raw
 open(sys.argv[2], "w").write(body + "\n")
@@ -70,19 +70,6 @@ for gold in crates/lint/tests/golden/s*.json; do
     strip_lint_json "${lint_out}" "${lint_body}"
     diff -u "${gold}" "${lint_body}"
 done
-# The incremental engine must hit its digest-keyed cache for every rule
-# group when the same circuit is analyzed twice in one process.
-"${lint_bin}" --json s27 s27 2>/dev/null > "${lint_out}"
-python3 - "${lint_out}" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
-assert len(lines) == 2, f"expected two reports, got {len(lines)}"
-first, second = (json.loads(l) for l in lines)
-assert any(g["cache"] == "miss" for g in first["perf"]["groups"]), first["perf"]
-assert all(g["cache"] == "hit" for g in second["perf"]["groups"]), (
-    f"stale-cache: {second['perf']}"
-)
-EOF
 # The seeded defective circuit (comb cycle + undriven net + shadowed PI +
 # unsatisfiable constraint cube) must exit non-zero under the default
 # --deny error filter, with the exact golden report...
@@ -209,35 +196,7 @@ if [ "${rt_digests}" -ne 1 ]; then
     exit 1
 fi
 cargo test --release -q -p fbt-core --test verilog_twins
-rm -rf "${conv_dir}" "${lint_body}"
-
-echo "== lint cache warm restart (disk spill across processes) =="
-# With FBT_LINT_CACHE_DIR set, a second *process* analyzing the same
-# circuit must serve every rule group from the spilled cache, and the
-# stripped report bodies must be byte-identical across the restart.
-cache_dir=$(mktemp -d)
-warm1=$(mktemp)
-warm2=$(mktemp)
-FBT_LINT_CACHE_DIR="${cache_dir}" "${lint_bin}" --json s27 2>/dev/null > "${warm1}"
-if [ -z "$(ls -A "${cache_dir}")" ]; then
-    echo "error: the lint run spilled nothing into FBT_LINT_CACHE_DIR" >&2
-    exit 1
-fi
-FBT_LINT_CACHE_DIR="${cache_dir}" "${lint_bin}" --json s27 2>/dev/null > "${warm2}"
-python3 - "${warm1}" "${warm2}" <<'EOF'
-import json, sys
-cold, warm = (json.load(open(p)) for p in sys.argv[1:3])
-assert any(g["cache"] == "miss" for g in cold["perf"]["groups"]), cold["perf"]
-assert all(g["cache"] == "hit" for g in warm["perf"]["groups"]), (
-    f"cold cache after process restart: {warm['perf']}"
-)
-EOF
-warm_body1=$(mktemp)
-warm_body2=$(mktemp)
-strip_lint_json "${warm1}" "${warm_body1}"
-strip_lint_json "${warm2}" "${warm_body2}"
-cmp "${warm_body1}" "${warm_body2}"
-rm -rf "${cache_dir}" "${warm1}" "${warm2}" "${warm_body1}" "${warm_body2}" "${lint_out}"
+rm -rf "${conv_dir}" "${lint_body}" "${lint_out}"
 
 echo "== compiled kernels (18-circuit builds + scalar-oracle fault simulation) =="
 # The compiled-kernel layer must (a) build a kernel for every catalog
@@ -426,5 +385,27 @@ EOF
 wait "${fix_serve_pid}"
 grep -q "drained and stopped" "${fix_serve_out}"
 rm -f "${fix_port_file}" "${fix_serve_out}"
+
+echo "== perfbench traced smoke (serve-mix, --trace 1) =="
+# The repository benchmark, run as shipped, with tracing on: besides the
+# served jobs it re-drives the Chapter-4 probe, which must reproduce the
+# library's counters_json through the public layer calls, runs the engine
+# thread sweep, and compares the served artifacts with jobs::execute. The
+# result object on its last line must report a correct run with no failed
+# operation.
+bench_out=$(mktemp)
+python3 perfbench/run.py --workload serve-mix --seed 1 --seconds 5 --trace 1 > "${bench_out}"
+if ! python3 - "${bench_out}" <<'EOF'
+import json, sys
+d = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert d["correct"] is True and d["failed"] == 0, (
+    f"correct={d['correct']} attempted={d['attempted']} failed={d['failed']}"
+)
+EOF
+then
+    grep "check failed" "${bench_out}" >&2 || true
+    exit 1
+fi
+rm -f "${bench_out}"
 
 echo "CI OK"
