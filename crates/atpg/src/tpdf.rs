@@ -74,15 +74,6 @@ pub struct TpdfConfig {
     pub heuristic_time_limit: Duration,
     /// Limits for the complete branch-and-bound per fault.
     pub bnb: PodemConfig,
-    /// Resolve faults the branch-and-bound aborts on with the complete SAT
-    /// backend ([`crate::SatBackend`]); its UNSAT verdicts surface as
-    /// [`SubProcedure::SatSolver`] untestability proofs in the statistics.
-    pub sat_fallback: bool,
-    /// Decide faults on structurally constant or unobservable lines as
-    /// untestable before any search runs ([`SubProcedure::Preflight`]).
-    /// Sound for every circuit: skipped faults are untestable under any
-    /// test, so the remaining verdicts are unchanged.
-    pub preflight: bool,
     /// Random tie-break seed.
     pub seed: u64,
 }
@@ -99,8 +90,6 @@ impl Default for TpdfConfig {
                 backtrack_limit: 4096,
                 time_limit: Duration::from_secs(4),
             },
-            sat_fallback: true,
-            preflight: true,
             seed: 0x7BDF,
         }
     }
@@ -228,31 +217,29 @@ pub fn run_pipeline(
     // combinationally unobservable line can never propagate; a path fault
     // containing such a transition fault is undetectable without search.
     let mut undetectable_tfs: HashSet<TransitionFault> = HashSet::new();
-    if cfg.preflight {
-        let t0 = Instant::now();
-        let evidence = fbt_lint::PreflightEvidence::analyze(net);
-        for t in &unique_tfs {
-            if evidence.transition_untestable(t.line) {
-                undetectable_tfs.insert(*t);
-            }
+    let t0 = Instant::now();
+    let evidence = fbt_lint::PreflightEvidence::analyze(net);
+    for t in &unique_tfs {
+        if evidence.transition_untestable(t.line) {
+            undetectable_tfs.insert(*t);
         }
-        let mut undet_pre = 0usize;
-        if !undetectable_tfs.is_empty() {
-            for (i, f) in faults.iter().enumerate() {
-                if f.transition_faults(net)
-                    .iter()
-                    .any(|t| undetectable_tfs.contains(t))
-                {
-                    statuses[i] = Some(TpdfStatus::Undetectable(SubProcedure::Preflight));
-                    undet_pre += 1;
-                }
-            }
-        }
-        stats
-            .undetectable
-            .insert(SubProcedure::Preflight, undet_pre);
-        stats.times.insert(SubProcedure::Preflight, t0.elapsed());
     }
+    let mut undet_pre = 0usize;
+    if !undetectable_tfs.is_empty() {
+        for (i, f) in faults.iter().enumerate() {
+            if f.transition_faults(net)
+                .iter()
+                .any(|t| undetectable_tfs.contains(t))
+            {
+                statuses[i] = Some(TpdfStatus::Undetectable(SubProcedure::Preflight));
+                undet_pre += 1;
+            }
+        }
+    }
+    stats
+        .undetectable
+        .insert(SubProcedure::Preflight, undet_pre);
+    stats.times.insert(SubProcedure::Preflight, t0.elapsed());
 
     // ---- Sub-procedure 1: deterministic test generation for the unique
     // transition faults along the paths (§2.3.1). Pre-flight-decided faults
@@ -394,33 +381,31 @@ pub fn run_pipeline(
     // ---- SAT fallback: complete time-frame-expansion search for whatever
     // the branch-and-bound aborted on. Every verdict is definite — a model
     // becomes a test, UNSAT is an untestability proof.
-    if cfg.sat_fallback {
-        let t0 = Instant::now();
-        let mut sat = SatBackend::new(net);
-        let mut det_sat = 0usize;
-        let mut undet_sat = 0usize;
-        for (i, f) in faults.iter().enumerate() {
-            if !matches!(statuses[i], Some(TpdfStatus::Aborted)) {
-                continue;
-            }
-            statuses[i] = Some(match sat.generate_tpdf(f) {
-                AtpgOutcome::Test(cube) => {
-                    det_sat += 1;
-                    TpdfStatus::Detected(SubProcedure::SatSolver, cube)
-                }
-                AtpgOutcome::Untestable => {
-                    undet_sat += 1;
-                    TpdfStatus::Undetectable(SubProcedure::SatSolver)
-                }
-                AtpgOutcome::Aborted => TpdfStatus::Aborted,
-            });
+    let t0 = Instant::now();
+    let mut sat = SatBackend::new(net);
+    let mut det_sat = 0usize;
+    let mut undet_sat = 0usize;
+    for (i, f) in faults.iter().enumerate() {
+        if !matches!(statuses[i], Some(TpdfStatus::Aborted)) {
+            continue;
         }
-        stats.detected.insert(SubProcedure::SatSolver, det_sat);
-        stats
-            .undetectable
-            .insert(SubProcedure::SatSolver, undet_sat);
-        stats.times.insert(SubProcedure::SatSolver, t0.elapsed());
+        statuses[i] = Some(match sat.generate_tpdf(f) {
+            AtpgOutcome::Test(cube) => {
+                det_sat += 1;
+                TpdfStatus::Detected(SubProcedure::SatSolver, cube)
+            }
+            AtpgOutcome::Untestable => {
+                undet_sat += 1;
+                TpdfStatus::Undetectable(SubProcedure::SatSolver)
+            }
+            AtpgOutcome::Aborted => TpdfStatus::Aborted,
+        });
     }
+    stats.detected.insert(SubProcedure::SatSolver, det_sat);
+    stats
+        .undetectable
+        .insert(SubProcedure::SatSolver, undet_sat);
+    stats.times.insert(SubProcedure::SatSolver, t0.elapsed());
 
     TpdfReport {
         statuses: statuses.into_iter().map(Option::unwrap).collect(),
@@ -540,8 +525,6 @@ mod tests {
                 backtrack_limit: 100_000,
                 time_limit: Duration::from_secs(10),
             },
-            sat_fallback: true,
-            preflight: true,
             seed: 7,
         }
     }
@@ -599,8 +582,9 @@ mod tests {
     #[test]
     fn preflight_decides_constant_line_faults() {
         // Paths through a structurally constant gate are untestable; the
-        // pre-flight must decide them without search and without changing
-        // any other verdict.
+        // pre-flight must decide them without search. The circuit is small
+        // enough to know every verdict: a fault is undetectable exactly when
+        // its path runs through k0, and every other fault is detected.
         let mut b = fbt_netlist::NetlistBuilder::new("pf");
         b.input("a").unwrap();
         b.input("c").unwrap();
@@ -611,8 +595,8 @@ mod tests {
         let net = b.finish().unwrap();
 
         let faults = tpdf_list(&enumerate_paths(&net, usize::MAX));
-        let with = run_pipeline(&net, &faults, &quick_cfg());
-        let decided = with
+        let report = run_pipeline(&net, &faults, &quick_cfg());
+        let decided = report
             .stats
             .undetectable
             .get(&SubProcedure::Preflight)
@@ -620,12 +604,21 @@ mod tests {
             .unwrap_or(0);
         assert!(decided >= 1, "paths through k0 must be decided up front");
 
-        let mut cfg = quick_cfg();
-        cfg.preflight = false;
-        let without = run_pipeline(&net, &faults, &cfg);
-        for (x, y) in with.statuses.iter().zip(&without.statuses) {
-            assert_eq!(x.is_detected(), y.is_detected());
-            assert_eq!(x.is_undetectable(), y.is_undetectable());
+        let k0 = net.find("k0").unwrap();
+        for (f, status) in faults.iter().zip(&report.statuses) {
+            let through_k0 = f.path.nodes().contains(&k0);
+            assert_eq!(
+                status.is_undetectable(),
+                through_k0,
+                "{}",
+                f.path.display(&net)
+            );
+            assert_eq!(
+                status.is_detected(),
+                !through_k0,
+                "{}",
+                f.path.display(&net)
+            );
         }
     }
 

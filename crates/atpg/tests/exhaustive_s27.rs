@@ -67,8 +67,6 @@ fn pipeline_matches_exhaustive_ground_truth_on_s27() {
             backtrack_limit: 200_000,
             time_limit: Duration::from_secs(20),
         },
-        sat_fallback: true,
-        preflight: true,
         seed: 7,
     };
     let report = run_pipeline(&net, &faults, &cfg);

@@ -78,8 +78,6 @@ impl Scale {
                     backtrack_limit: 1_000,
                     time_limit: Duration::from_millis(300),
                 },
-                sat_fallback: true,
-                preflight: true,
                 seed: 0x7BDF,
             },
             Scale::Default => TpdfConfig::default(),
@@ -93,8 +91,6 @@ impl Scale {
                     backtrack_limit: 1_000_000,
                     time_limit: Duration::from_secs(120),
                 },
-                sat_fallback: true,
-                preflight: true,
                 seed: 0x7BDF,
             },
         }

@@ -100,7 +100,8 @@ impl FunctionalBistConfig {
         }
     }
 
-    /// Validate invariants (even `L`, non-zero budgets).
+    /// Validate invariants (even `L`, non-zero budgets, a tabulated LFSR
+    /// width).
     ///
     /// # Panics
     ///
@@ -121,6 +122,11 @@ impl FunctionalBistConfig {
             "h must be in 1..64"
         );
         assert!(self.m >= 2, "m must be >= 2");
+        assert!(
+            fbt_bist::Lfsr::new(self.lfsr_width, 1).is_some(),
+            "no maximal-length LFSR of width {} is tabulated",
+            self.lfsr_width
+        );
         self.search.validate();
     }
 }
@@ -170,6 +176,16 @@ mod tests {
     fn hold_period_beyond_the_counter_rejected() {
         let c = FunctionalBistConfig {
             hold_period_log2: 64,
+            ..FunctionalBistConfig::smoke()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "no maximal-length LFSR of width 40 is tabulated")]
+    fn untabulated_lfsr_width_rejected() {
+        let c = FunctionalBistConfig {
+            lfsr_width: 40,
             ..FunctionalBistConfig::smoke()
         };
         c.validate();

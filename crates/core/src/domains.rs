@@ -15,7 +15,7 @@
 //! would be built from.
 
 use fbt_fault::{TransitionFault, TwoPatternTest};
-use fbt_netlist::{Netlist, NodeId};
+use fbt_netlist::Netlist;
 use fbt_sim::seq::SeqSim;
 use fbt_sim::Bits;
 
@@ -203,19 +203,6 @@ pub fn round_robin(net: &Netlist, n_domains: usize) -> ClockDomains {
     ClockDomains::new(assignment, periods)
 }
 
-/// The lines of a netlist reached by node `seed` — re-exported convenience
-/// for domain analyses.
-pub fn reachable_captures(net: &Netlist, seed: NodeId) -> Vec<usize> {
-    let cone = net.fanout_cone(seed);
-    let mut out = Vec::new();
-    for (i, &d) in net.dffs().iter().enumerate() {
-        if cone.contains(&net.node(d).fanins()[0]) {
-            out.push(i);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,13 +306,5 @@ mod tests {
     #[should_panic(expected = "some domain must run at the base rate")]
     fn missing_base_rate_rejected() {
         let _ = ClockDomains::new(vec![0, 0, 0], vec![2]);
-    }
-
-    #[test]
-    fn reachable_captures_reports_ff_indices() {
-        let net = s27();
-        // G10 drives the D input of G5 (flip-flop 0).
-        let g10 = net.find("G10").unwrap();
-        assert!(reachable_captures(&net, g10).contains(&0));
     }
 }

@@ -12,7 +12,7 @@
 //! policies:
 //!
 //! * [`SeedSource`] — how a drawn seed becomes a primary-input sequence
-//!   (the biased TPG of Fig. 4.4, a weighted TPG, …);
+//!   (the biased TPG of Fig. 4.4);
 //! * [`crate::policy::AdmissibilityPolicy`] — how much of a candidate may be
 //!   applied (`SWAfunc` bound, signal-transition patterns, or unbounded);
 //! * [`StateOverlay`] — how the circuit's state evolves (plain functional
@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use fbt_bist::{cube, Tpg, TpgSpec, Weight, WeightedTpg};
+use fbt_bist::{cube, Tpg, TpgSpec};
 use fbt_fault::{all_transition_faults, collapse, TransitionFault};
 use fbt_fault::{
     BroadsideTest, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestGroup, TestSet,
@@ -34,7 +34,7 @@ use fbt_fault::{
 use fbt_netlist::rng::Rng;
 use fbt_netlist::Netlist;
 use fbt_sim::lanes::{extract_lane, LaneSeqSim};
-use fbt_sim::seq::{simulate_sequence, SeqSim};
+use fbt_sim::seq::SeqSim;
 use fbt_sim::Bits;
 
 use crate::extract::{functional_tests, held_tests};
@@ -88,27 +88,6 @@ impl SeedSource for TpgSeedSource {
     }
 }
 
-/// A weighted-random source: per-input signal probabilities instead of the
-/// LFSR-plus-biasing-gate structure.
-#[derive(Debug, Clone)]
-pub struct WeightedSeedSource {
-    /// Per-input weights.
-    pub weights: Vec<Weight>,
-}
-
-impl WeightedSeedSource {
-    /// A source with explicit per-input weights.
-    pub fn new(weights: Vec<Weight>) -> Self {
-        WeightedSeedSource { weights }
-    }
-}
-
-impl SeedSource for WeightedSeedSource {
-    fn expand(&self, seed: u64, len: usize) -> Vec<Bits> {
-        WeightedTpg::new(self.weights.clone(), seed).sequence(len)
-    }
-}
-
 /// How the circuit's state evolves while a candidate sequence is applied.
 #[derive(Debug, Clone)]
 pub enum StateOverlay {
@@ -146,24 +125,16 @@ impl StateOverlay {
         start: &Bits,
         pis: &[Bits],
     ) -> (Vec<Bits>, Vec<Option<f64>>) {
-        match self {
-            StateOverlay::Identity => {
-                let traj = simulate_sequence(net, start, pis);
-                (traj.states, traj.swa)
-            }
-            StateOverlay::Hold { .. } => {
-                let mut sim = SeqSim::new(net, start);
-                let mut states = Vec::with_capacity(pis.len() + 1);
-                let mut swa = Vec::with_capacity(pis.len());
-                states.push(start.clone());
-                for (c, pi) in pis.iter().enumerate() {
-                    let r = sim.step_holding(pi, self.hold_mask_at(c));
-                    states.push(r.next_state);
-                    swa.push(r.switching_activity);
-                }
-                (states, swa)
-            }
+        let mut sim = SeqSim::new(net, start);
+        let mut states = Vec::with_capacity(pis.len() + 1);
+        let mut swa = Vec::with_capacity(pis.len());
+        states.push(start.clone());
+        for (c, pi) in pis.iter().enumerate() {
+            let r = sim.step_holding(pi, self.hold_mask_at(c));
+            states.push(r.next_state);
+            swa.push(r.switching_activity);
         }
+        (states, swa)
     }
 
     /// Extract the non-overlapping tests of a simulated prefix. Identity
@@ -838,6 +809,7 @@ mod tests {
     use super::*;
     use crate::policy::{SwaRule, Unbounded};
     use fbt_netlist::s27;
+    use fbt_sim::seq::simulate_sequence;
 
     #[test]
     fn owned_tests_roundtrip() {

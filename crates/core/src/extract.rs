@@ -28,25 +28,6 @@ pub fn functional_tests(pis: &[Bits], states: &[Bits]) -> Vec<BroadsideTest> {
         .collect()
 }
 
-/// Extract functional broadside tests applied every `2^q` cycles.
-///
-/// `q = 1` maximizes the number of tests (and is what the paper's
-/// experiments use, via [`functional_tests`]); larger `q` trades tests for
-/// cheaper control logic (Fig. 4.6 uses a `q`-input NOR on the clock-cycle
-/// counter).
-///
-/// # Panics
-///
-/// Panics if `states.len() != pis.len() + 1` or `q == 0`.
-pub fn functional_tests_every(pis: &[Bits], states: &[Bits], q: u32) -> Vec<BroadsideTest> {
-    assert_eq!(states.len(), pis.len() + 1, "trajectory length mismatch");
-    assert!((1..32).contains(&q), "q out of range");
-    (0..pis.len().saturating_sub(1))
-        .step_by(1 << q)
-        .map(|i| BroadsideTest::new(states[i].clone(), pis[i].clone(), pis[i + 1].clone()))
-        .collect()
-}
-
 /// Extract two-pattern tests with *explicit* second states — required when
 /// the trajectory was simulated with state holding, so that `s(i+1)` can
 /// deviate from the natural broadside response (paper §4.5.1).
@@ -126,22 +107,6 @@ mod tests {
             assert_eq!(h.s1, b.scan_in);
             assert_eq!(h.s2, b.second_state(&net));
         }
-    }
-
-    #[test]
-    fn q2_extracts_every_fourth_cycle() {
-        let net = s27();
-        let p = pis(16);
-        let t = simulate_sequence(&net, &Bits::zeros(3), &p);
-        let q1 = functional_tests_every(&p, &t.states, 1);
-        let q2 = functional_tests_every(&p, &t.states, 2);
-        assert_eq!(q1.len(), 8);
-        assert_eq!(q2.len(), 4);
-        // q = 2 tests are a subset of q = 1 tests (every other one).
-        for (k, test) in q2.iter().enumerate() {
-            assert_eq!(test, &q1[2 * k]);
-        }
-        assert_eq!(q1, functional_tests(&p, &t.states));
     }
 
     #[test]

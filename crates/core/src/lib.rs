@@ -63,9 +63,7 @@ pub use constrained::{
     generate_constrained_with_library, ConstrainedOutcome,
 };
 pub use driver::{swafunc, DrivingBlock};
-pub use engine::{
-    GenerationEngine, OwnedTests, SeedSource, StateOverlay, TpgSeedSource, WeightedSeedSource,
-};
+pub use engine::{GenerationEngine, OwnedTests, SeedSource, StateOverlay, TpgSeedSource};
 pub use fbt_netlist::Error;
 pub use holding::{improve_with_holding, improve_with_holding_greedy, HoldingOutcome};
 pub use outcome::{MultiSegmentSequence, OutcomeSummary, Segment};

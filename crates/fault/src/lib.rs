@@ -21,7 +21,6 @@
 mod broadside;
 pub mod engine;
 pub mod path;
-pub mod sensitize;
 pub mod sim;
 mod transition;
 
@@ -31,7 +30,6 @@ pub use engine::{
     TestSet,
 };
 pub use path::{Path, TransitionPathDelayFault};
-pub use sensitize::{classify, Sensitization};
 pub use sim::{coverage_percent, n_detect_coverage};
 pub use transition::{all_transition_faults, collapse, Transition, TransitionFault};
 

@@ -19,7 +19,7 @@ pub enum Severity {
     Note,
     /// Suspicious structure that wastes test budget or masks coverage.
     Warning,
-    /// A defect: the circuit, constraint set or plan is unusable as-is.
+    /// A defect: the circuit or constraint set is unusable as-is.
     Error,
 }
 
@@ -125,8 +125,8 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// All diagnostics produced for one subject (a circuit, constraint set,
-/// or plan), in canonical order.
+/// All diagnostics produced for one subject (a circuit or constraint set),
+/// in canonical order.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
     /// The linted subject's name (usually the circuit name).

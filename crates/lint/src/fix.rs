@@ -49,7 +49,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use fbt_netlist::bench::RawBench;
+use fbt_netlist::frontend::RawDoc;
 use fbt_netlist::json::{ArrWriter, ObjWriter};
 use fbt_netlist::{GateKind, Netlist, NetlistError, NodeId, Rewrite, RewriteResult};
 use fbt_sat::{Miter, MiterOutcome, MiterWitness};
@@ -223,7 +223,7 @@ pub fn fix_netlist(net: &Netlist, cfg: &FixConfig) -> FixOutcome {
 /// Run the fix engine over a parsed-but-unvalidated `.bench` document:
 /// stubs undriven nets when that is the only build blocker, then runs the
 /// fixpoint. Unfixable build errors set [`FixOutcome::blocked`].
-pub fn fix_raw(raw: &RawBench, cfg: &FixConfig) -> FixOutcome {
+pub fn fix_raw(raw: &RawDoc, cfg: &FixConfig) -> FixOutcome {
     let mut out = FixOutcome::default();
     match raw.to_builder().and_then(|b| b.finish()) {
         Ok(net) => fixpoint(net, cfg, &mut out),
@@ -254,7 +254,7 @@ pub fn fix_bench_text(text: &str, name: &str, cfg: &FixConfig) -> Result<FixOutc
 
 /// Undriven nets are the only build blocker: stub each as a PI (in
 /// first-reference order) and continue into the fixpoint.
-fn stub_and_fix(raw: &RawBench, cfg: &FixConfig, out: &mut FixOutcome) {
+fn stub_and_fix(raw: &RawDoc, cfg: &FixConfig, out: &mut FixOutcome) {
     let undriven: Vec<String> = RawCircuit::from_raw_bench(raw)
         .nodes
         .iter()

@@ -4,13 +4,13 @@
 //! definitions, undriven nets and combinational cycles are construction
 //! errors. A linter must instead see *all* of a document's problems at once,
 //! so [`RawCircuit`] builds a best-effort graph from the syntax-level
-//! [`RawBench`] statement stream — keeping the first definition of each
+//! [`RawDoc`] statement stream — keeping the first definition of each
 //! name, recording every later redefinition, and representing
 //! referenced-but-never-defined nets as kind-less nodes.
 
 use std::collections::HashMap;
 
-use fbt_netlist::bench::{BenchStmt, RawBench};
+use fbt_netlist::frontend::{RawDoc, RawStmt};
 use fbt_netlist::{GateKind, Netlist};
 
 /// One signal in a [`RawCircuit`].
@@ -57,8 +57,8 @@ pub struct RawCircuit {
 }
 
 impl RawCircuit {
-    /// Build from a syntax-level `.bench` parse.
-    pub fn from_raw_bench(raw: &RawBench) -> Self {
+    /// Build from a syntax-level parse of either wire format.
+    pub fn from_raw_bench(raw: &RawDoc) -> Self {
         let mut c = RawCircuit {
             name: raw.name.clone(),
             nodes: Vec::new(),
@@ -69,12 +69,12 @@ impl RawCircuit {
         };
         for (line, stmt) in &raw.stmts {
             match stmt {
-                BenchStmt::Input(n) => c.define(n, GateKind::Input, &[], Some(*line)),
-                BenchStmt::Output(n) => {
+                RawStmt::Input(n) => c.define(n, GateKind::Input, &[], Some(*line)),
+                RawStmt::Output(n) => {
                     let idx = c.intern(n);
                     c.outputs.push(idx);
                 }
-                BenchStmt::Def { name, kind, args } => {
+                RawStmt::Def { name, kind, args } => {
                     let arg_refs: Vec<&str> = args.iter().map(String::as_str).collect();
                     c.define(name, *kind, &arg_refs, Some(*line));
                 }

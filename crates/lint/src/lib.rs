@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
 
-//! Static design-rule analysis for netlists, PI constraints and BIST plans.
+//! Static design-rule analysis for netlists and PI constraints.
 //!
 //! Chapter 4's built-in generation pipeline assumes well-formed inputs —
-//! acyclic combinational logic, driven nets, satisfiable constraint cubes,
-//! intact TPG plumbing. Violations otherwise surface as wrong coverage
-//! numbers or search budget burned on untestable-by-construction faults.
-//! This crate front-loads those checks, production-DRC style:
+//! acyclic combinational logic, driven nets, satisfiable constraint cubes.
+//! Violations otherwise surface as wrong coverage numbers or search budget
+//! burned on untestable-by-construction faults. This crate front-loads
+//! those checks, production-DRC style:
 //!
 //! * [`diag`] — the shared diagnostics layer: [`Diagnostic`]s with rule id,
 //!   severity, location, message and help, collected into [`LintReport`]s
@@ -21,8 +21,6 @@
 //! * [`constraints`] / [`dupes`] — semantic passes backed by the `fbt-sat`
 //!   CDCL engine: constraint-cube vacuity, constraint-implied constant
 //!   inputs, and XOR-miter confirmation of duplicate cones;
-//! * [`plan`] — BIST plan validation through the dependency-neutral
-//!   [`plan::PlanSpec`];
 //! * [`rules`] — the rule registry and `--allow`/`--deny` filtering;
 //! * [`preflight`] — [`PreflightEvidence`], the per-line untestability
 //!   oracle consumed by `fbt-atpg` and `fbt-core` before spending budget;
@@ -44,7 +42,6 @@ pub mod diag;
 pub mod dupes;
 pub mod fix;
 pub mod graph;
-pub mod plan;
 pub mod preflight;
 pub mod rules;
 pub mod scoap;
@@ -58,10 +55,6 @@ pub use rules::{RuleFilter, RuleInfo, ALL_RULES};
 
 use fbt_netlist::frontend::{self, Format, RawDoc};
 use fbt_netlist::Netlist;
-
-/// Backwards-compatible alias: the raw IR is now format-neutral (see
-/// [`fbt_netlist::frontend::RawDoc`]).
-pub use fbt_netlist::bench::RawBench;
 
 /// Lint a valid [`Netlist`]: all structural passes plus the SCOAP scoring,
 /// X-source simulation and SAT-confirmed duplicate-cone pass.

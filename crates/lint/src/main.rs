@@ -1,5 +1,5 @@
-//! `fbt-lint` — static design-rule analysis for circuits, constraints and
-//! BIST plans.
+//! `fbt-lint` — static design-rule analysis for circuits and PI
+//! constraints.
 //!
 //! ```text
 //! fbt-lint [OPTIONS] SUBJECT...

@@ -93,31 +93,6 @@ pub const ALL_RULES: &[RuleInfo] = &[
         summary: "gate or flip-flop output collides with a primary input name",
     },
     RuleInfo {
-        id: "plan-cube-width",
-        severity: Severity::Error,
-        summary: "TPG input-cube width differs from the circuit's PI count",
-    },
-    RuleInfo {
-        id: "plan-lfsr-width",
-        severity: Severity::Error,
-        summary: "LFSR width outside the supported 1..=64 range",
-    },
-    RuleInfo {
-        id: "plan-m-degree",
-        severity: Severity::Warning,
-        summary: "biasing gate degree m < 2 gives no bias",
-    },
-    RuleInfo {
-        id: "plan-seq-odd",
-        severity: Severity::Error,
-        summary: "per-seed sequence length must be even and positive",
-    },
-    RuleInfo {
-        id: "plan-zero-budget",
-        severity: Severity::Error,
-        summary: "a zero generation budget makes the plan a no-op",
-    },
-    RuleInfo {
         id: "redefined-net",
         severity: Severity::Error,
         summary: "signal defined more than once",

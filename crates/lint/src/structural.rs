@@ -491,7 +491,7 @@ pub fn x_source_ffs(net: &Netlist, cube: Option<&[Trit]>, report: &mut LintRepor
         None => vec![Trit::X; net.num_inputs()],
     };
     if pi.len() != net.num_inputs() {
-        return; // plan rules report the width mismatch
+        return; // a cube of another width belongs to another circuit
     }
     let frames = (2 * n_ff + 2).min(256);
     let mut state = vec![Trit::X; n_ff];

@@ -13,16 +13,8 @@
 
 use std::fmt::Write as _;
 
+use crate::frontend::{RawDoc, RawStmt};
 use crate::{GateKind, Netlist, NetlistError};
-
-/// The raw-IR statement type, shared with the Verilog frontend. Historically
-/// this was `.bench`-specific and lived here; it now lives in
-/// [`crate::frontend`] and keeps its old names as aliases.
-pub use crate::frontend::RawStmt as BenchStmt;
-
-/// The raw-IR document type, shared with the Verilog frontend (see
-/// [`BenchStmt`] for the history of the alias).
-pub use crate::frontend::RawDoc as RawBench;
 
 /// Parse a `.bench` document to the statement level only.
 ///
@@ -32,7 +24,7 @@ pub use crate::frontend::RawDoc as RawBench;
 /// [`NetlistError::UnknownGateKind`] for unrecognised keywords. Structural
 /// problems (duplicates, cycles, undriven nets) are *not* errors at this
 /// level.
-pub fn parse_raw(text: &str, name: &str) -> Result<RawBench, NetlistError> {
+pub fn parse_raw(text: &str, name: &str) -> Result<RawDoc, NetlistError> {
     let mut stmts = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -44,9 +36,9 @@ pub fn parse_raw(text: &str, name: &str) -> Result<RawBench, NetlistError> {
             message,
         };
         if let Some(rest) = strip_call(line, "INPUT") {
-            stmts.push((lineno + 1, BenchStmt::Input(rest.to_string())));
+            stmts.push((lineno + 1, RawStmt::Input(rest.to_string())));
         } else if let Some(rest) = strip_call(line, "OUTPUT") {
-            stmts.push((lineno + 1, BenchStmt::Output(rest.to_string())));
+            stmts.push((lineno + 1, RawStmt::Output(rest.to_string())));
         } else if let Some(eq) = line.find('=') {
             let target = line[..eq].trim();
             let rhs = line[eq + 1..].trim();
@@ -77,7 +69,7 @@ pub fn parse_raw(text: &str, name: &str) -> Result<RawBench, NetlistError> {
             }
             stmts.push((
                 lineno + 1,
-                BenchStmt::Def {
+                RawStmt::Def {
                     name: target.to_string(),
                     kind,
                     args,
@@ -87,7 +79,7 @@ pub fn parse_raw(text: &str, name: &str) -> Result<RawBench, NetlistError> {
             return Err(line_err(format!("unrecognised line `{line}`")));
         }
     }
-    Ok(RawBench {
+    Ok(RawDoc {
         name: name.to_string(),
         stmts,
     })

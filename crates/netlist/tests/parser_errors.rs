@@ -4,7 +4,8 @@
 //! parser reports column-precise [`NetlistError::ParseAt`] locations; the
 //! line-oriented `.bench` parser reports [`NetlistError::Parse`].
 
-use fbt_netlist::bench::{parse, parse_raw, BenchStmt};
+use fbt_netlist::bench::{parse, parse_raw};
+use fbt_netlist::frontend::RawStmt;
 use fbt_netlist::{verilog, NetlistError};
 
 #[test]
@@ -163,10 +164,10 @@ fn raw_parse_tolerates_structural_problems() {
     let src = "INPUT(a)\nx = AND(a, y)\ny = AND(a, x)\nx = NOT(ghost)\n";
     let raw = parse_raw(src, "rough").expect("raw parse succeeds");
     assert_eq!(raw.stmts.len(), 4);
-    assert_eq!(raw.stmts[0], (1, BenchStmt::Input("a".to_string())));
+    assert_eq!(raw.stmts[0], (1, RawStmt::Input("a".to_string())));
     assert!(matches!(
         raw.stmts[3],
-        (4, BenchStmt::Def { ref name, .. }) if name == "x"
+        (4, RawStmt::Def { ref name, .. }) if name == "x"
     ));
     assert!(parse(src, "rough").is_err());
 }
@@ -359,7 +360,7 @@ fn verilog_raw_parse_tolerates_structural_problems() {
     let defs = raw
         .stmts
         .iter()
-        .filter(|(_, s)| matches!(s, BenchStmt::Def { .. }))
+        .filter(|(_, s)| matches!(s, RawStmt::Def { .. }))
         .count();
     assert_eq!(defs, 3);
     assert!(verilog::parse(src).is_err());

@@ -423,6 +423,20 @@ mod tests {
             let (status, reply) = state.handle(&request("POST", "/jobs", body));
             assert_eq!(status, 400, "{body}: {reply}");
         }
+        // The path cap bounds enumeration, and a present key of the wrong
+        // type is a 400 rather than its default.
+        for body in [
+            "{\"circuit\":\"s27\",\"kind\":\"atpg\",\"max_paths\":4097}",
+            "{\"circuit\":\"s27\",\"kind\":\"atpg\",\"max_paths\":18446744073709551615}",
+            "{\"circuit\":\"s27\",\"kind\":\"atpg\",\"max_paths\":\"64\"}",
+            "{\"circuit\":\"s27\",\"batch\":-1}",
+            "{\"circuit\":\"s27\",\"kind\":5}",
+            "{\"circuit\":\"s27\",\"swa_scale\":\"half\"}",
+            "{\"circuit\":\"s27\",\"kind\":\"lint\",\"fix\":\"yes\"}",
+        ] {
+            let (status, reply) = state.handle(&request("POST", "/jobs", body));
+            assert_eq!(status, 400, "{body}: {reply}");
+        }
         let (status, reply) = state.handle(&request(
             "POST",
             "/jobs",

@@ -34,6 +34,31 @@ use crate::store::{digest_hex, CircuitEntry, ContentStore};
 /// simulation tables a job can allocate.
 const MAX_SEARCH_WIDTH: u64 = 64;
 
+/// Largest `max_paths` a job spec may ask for. Path enumeration stops only
+/// at this cap, so without it one spec could ask for every path of a
+/// reconvergent upload.
+const MAX_PATHS: u64 = 4096;
+
+/// The type [`field`] names for the unsigned-integer keys.
+const UINT: &str = "an unsigned 64-bit integer";
+
+/// Read the optional key `key` of a job spec through `read`. An absent
+/// key is `None`; a present value that `read` refuses is an error naming
+/// the `expected` type.
+fn field<'a, T>(
+    v: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(x) => read(x)
+            .map(Some)
+            .ok_or_else(|| format!("\"{key}\" must be {expected}")),
+    }
+}
+
 /// What a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -103,55 +128,55 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Parse and validate a request body.
+    /// Parse and validate a request body. Every key is optional except
+    /// `circuit`; a key that is present with a value of the wrong type is
+    /// an error, never its default.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
-        let kind = match v.get("kind").and_then(Json::as_str) {
+        let kind = match field(v, "kind", Json::as_str, "a string")? {
             Some("generate") | None => JobKind::Generate,
             Some("lint") => JobKind::Lint,
             Some("atpg") => JobKind::Atpg,
             Some(other) => return Err(format!("unknown job kind {other:?}")),
         };
-        let circuit = v
-            .get("circuit")
-            .and_then(Json::as_str)
+        let circuit = field(v, "circuit", Json::as_str, "a string")?
             .ok_or("missing \"circuit\"")?
             .to_string();
-        let method = match v.get("method").and_then(Json::as_str) {
+        let method = match field(v, "method", Json::as_str, "a string")? {
             Some("unconstrained") => Method::Unconstrained,
             Some("constrained") | None => Method::Constrained,
             Some("holding") => Method::Holding,
             Some(other) => return Err(format!("unknown method {other:?}")),
         };
-        let preset = match v.get("preset").and_then(Json::as_str) {
+        let preset = match field(v, "preset", Json::as_str, "a string")? {
             Some(p @ ("smoke" | "scaled" | "paper")) => p.to_string(),
             None => "smoke".to_string(),
             Some(other) => return Err(format!("unknown preset {other:?}")),
         };
         let mut search = SearchOptions::default();
-        if let Some(batch) = v.get("batch").and_then(Json::as_u64) {
+        if let Some(batch) = field(v, "batch", Json::as_u64, UINT)? {
             if batch == 0 || batch > MAX_SEARCH_WIDTH {
                 return Err(format!("batch {batch} outside 1..={MAX_SEARCH_WIDTH}"));
             }
             search.batch = batch as usize;
         }
-        if let Some(threads) = v.get("threads").and_then(Json::as_u64) {
+        if let Some(threads) = field(v, "threads", Json::as_u64, UINT)? {
             if threads > MAX_SEARCH_WIDTH {
                 return Err(format!("threads {threads} above {MAX_SEARCH_WIDTH}"));
             }
             search.threads = threads as usize;
         }
-        let swa_scale = match v.get("swa_scale").and_then(Json::as_f64) {
+        let swa_scale = match field(v, "swa_scale", Json::as_f64, "a number")? {
             Some(s) if s > 0.0 && s <= 1.0 => s,
             Some(s) => return Err(format!("swa_scale {s} outside (0, 1]")),
             None => 1.0,
         };
-        let seed = v.get("seed").and_then(Json::as_u64);
-        let max_paths = match v.get("max_paths").and_then(Json::as_u64) {
-            Some(0) => return Err("max_paths must be positive".into()),
-            Some(n) => n as usize,
+        let seed = field(v, "seed", Json::as_u64, UINT)?;
+        let max_paths = match field(v, "max_paths", Json::as_u64, UINT)? {
+            Some(n @ 1..=MAX_PATHS) => n as usize,
+            Some(n) => return Err(format!("max_paths {n} outside 1..={MAX_PATHS}")),
             None => 512,
         };
-        let fix = v.get("fix").and_then(Json::as_bool).unwrap_or(false);
+        let fix = field(v, "fix", Json::as_bool, "a boolean")?.unwrap_or(false);
         if fix && kind != JobKind::Lint {
             return Err("\"fix\" applies to lint jobs only".into());
         }

@@ -20,7 +20,6 @@
 
 pub mod case;
 mod delay;
-pub mod report;
 pub mod select;
 pub mod sta;
 

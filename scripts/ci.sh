@@ -386,26 +386,33 @@ wait "${fix_serve_pid}"
 grep -q "drained and stopped" "${fix_serve_out}"
 rm -f "${fix_port_file}" "${fix_serve_out}"
 
-echo "== perfbench traced smoke (serve-mix, --trace 1) =="
-# The repository benchmark, run as shipped, with tracing on: besides the
-# served jobs it re-drives the Chapter-4 probe, which must reproduce the
-# library's counters_json through the public layer calls, runs the engine
-# thread sweep, and compares the served artifacts with jobs::execute. The
-# result object on its last line must report a correct run with no failed
-# operation.
-bench_out=$(mktemp)
-python3 perfbench/run.py --workload serve-mix --seed 1 --seconds 5 --trace 1 > "${bench_out}"
-if ! python3 - "${bench_out}" <<'EOF'
+echo "== perfbench traced smokes (serve-mix and fault-grade, --trace 1) =="
+# The repository benchmark, run as shipped, with tracing on. A traced run
+# drives the named workload at full size and the other two as probes: it
+# re-drives the Chapter-4 rounds, which must reproduce the library's
+# counters_json through the public layer calls, compares every grading
+# pass at 1 and `nproc` threads, and compares the served artifacts with
+# jobs::execute. serve-mix serves its full job mix; fault-grade grades its
+# full TPG sets. The result object on the last line must report a correct
+# run with no failed operation.
+perfbench_smoke() {
+    local bench_out
+    bench_out=$(mktemp)
+    python3 perfbench/run.py --workload "$1" --seed 1 --seconds 5 --trace 1 > "${bench_out}"
+    if ! python3 - "${bench_out}" <<'EOF'
 import json, sys
 d = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 assert d["correct"] is True and d["failed"] == 0, (
     f"correct={d['correct']} attempted={d['attempted']} failed={d['failed']}"
 )
 EOF
-then
-    grep "check failed" "${bench_out}" >&2 || true
-    exit 1
-fi
-rm -f "${bench_out}"
+    then
+        grep "check failed" "${bench_out}" >&2 || true
+        exit 1
+    fi
+    rm -f "${bench_out}"
+}
+perfbench_smoke serve-mix
+perfbench_smoke fault-grade
 
 echo "CI OK"
