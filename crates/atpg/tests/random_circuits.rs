@@ -17,8 +17,8 @@ use fbt_netlist::rng::Rng;
 use fbt_netlist::synth::CircuitSpec;
 use fbt_netlist::{synth, Netlist};
 
-/// Derive a small random circuit from one RNG draw, mirroring the ranges
-/// the old proptest strategy used.
+/// Derive a small random circuit from one RNG draw: 2–5 inputs, 1–3
+/// outputs, 2–6 flip-flops and 15–59 gates.
 fn small_circuit(rng: &mut Rng) -> Netlist {
     let pi = 2 + (rng.next_u64() % 4) as usize; // 2..6
     let po = 1 + (rng.next_u64() % 3) as usize; // 1..4

@@ -22,7 +22,7 @@ use fbt_netlist::rng::Rng;
 use fbt_netlist::Netlist;
 use fbt_sim::Bits;
 
-use crate::engine::{self, ConstructOptions, GenerationEngine, StateOverlay, TpgSeedSource};
+use crate::engine::{self, ConstructOptions, GenerationEngine, StateOverlay};
 use crate::outcome::{deref_summary, OutcomeSummary};
 use crate::policy::{AdmissibilityPolicy, SwaRule};
 use crate::progress::Progress;
@@ -148,16 +148,7 @@ pub fn generate_constrained(
     swafunc: f64,
     cfg: &FunctionalBistConfig,
 ) -> ConstrainedOutcome {
-    let rule = SwaRule { bound: swafunc };
-    let zero = Bits::zeros(net.num_dffs());
-    run(
-        net,
-        swafunc,
-        cfg,
-        &rule,
-        std::slice::from_ref(&zero),
-        &Progress::default(),
-    )
+    generate_constrained_watched(net, swafunc, cfg, &Progress::default())
 }
 
 /// Like [`generate_constrained`], with a [`Progress`] handle: the run
@@ -259,11 +250,9 @@ fn run<P: AdmissibilityPolicy + ?Sized>(
     let t0 = Instant::now();
     let mut engine = GenerationEngine::new(net, cfg);
     engine.set_progress(progress.clone());
-    let source = TpgSeedSource::for_circuit(net, cfg);
     let mut rng = Rng::new(cfg.master_seed);
     let mut detected = vec![false; engine.num_faults()];
     let run = engine.construct(
-        &source,
         policy,
         &StateOverlay::Identity,
         initial_states,
@@ -304,14 +293,7 @@ pub fn replay_tests(
     outcome: &ConstrainedOutcome,
     cfg: &FunctionalBistConfig,
 ) -> Vec<fbt_fault::BroadsideTest> {
-    engine::replay_tests(
-        net,
-        &TpgSeedSource::for_circuit(net, cfg),
-        &StateOverlay::Identity,
-        &outcome.sequences,
-        cfg.seq_len,
-    )
-    .into_broadside()
+    engine::replay_tests(net, cfg, &StateOverlay::Identity, &outcome.sequences).into_broadside()
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //! detect new faults. [`GenerationEngine::construct`] owns that loop once,
 //! including the deterministic speculative-batch evaluation of
 //! [`crate::search`], the lint preflight projection (`crate::preflight`)
-//! and the [`GenerationStats`] accounting, parameterized by three small
-//! policies:
+//! and the [`GenerationStats`] accounting. Every drawn seed expands through
+//! the engine's own [`TpgSeedSource`] (the biased TPG of Fig. 4.4); the
+//! loop is parameterized by two small policies:
 //!
-//! * [`SeedSource`] — how a drawn seed becomes a primary-input sequence
-//!   (the biased TPG of Fig. 4.4);
 //! * [`crate::policy::AdmissibilityPolicy`] — how much of a candidate may be
 //!   applied (`SWAfunc` bound, signal-transition patterns, or unbounded);
 //! * [`StateOverlay`] — how the circuit's state evolves (plain functional
@@ -317,14 +316,16 @@ struct Candidate {
     cycles: usize,
 }
 
-/// The unified seed-search engine: owns the collapsed fault list, its lint
-/// preflight projection and the fault simulator every round and compaction
-/// pass shares, and runs the Fig. 4.9 construction loop under any policy
-/// combination.
+/// The unified seed-search engine: owns the circuit's TPG, the collapsed
+/// fault list, its lint preflight projection and the fault simulator every
+/// round and compaction pass shares, and runs the Fig. 4.9 construction
+/// loop under any policy combination.
 #[derive(Debug)]
 pub struct GenerationEngine<'n> {
     net: &'n Netlist,
     cfg: &'n FunctionalBistConfig,
+    /// The TPG every drawn seed is expanded through.
+    source: TpgSeedSource,
     faults: Vec<TransitionFault>,
     active_faults: Vec<TransitionFault>,
     active_idx: Vec<usize>,
@@ -373,6 +374,7 @@ impl<'n> GenerationEngine<'n> {
         GenerationEngine {
             net,
             cfg,
+            source: TpgSeedSource::for_circuit(net, cfg),
             faults,
             active_faults,
             active_idx,
@@ -389,16 +391,6 @@ impl<'n> GenerationEngine<'n> {
     /// outcome, bit-identical to the uncancelled run's prefix.
     pub fn set_progress(&mut self, progress: Progress) {
         self.progress = progress;
-    }
-
-    /// The circuit under test.
-    pub fn net(&self) -> &'n Netlist {
-        self.net
-    }
-
-    /// The full collapsed fault list.
-    pub fn faults(&self) -> &[TransitionFault] {
-        &self.faults
     }
 
     /// Number of faults in the full list.
@@ -425,21 +417,15 @@ impl<'n> GenerationEngine<'n> {
     ///
     /// Panics if `initial_states` is empty or `detected` does not match the
     /// fault list length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn construct<S, P>(
+    pub fn construct<P: AdmissibilityPolicy + ?Sized>(
         &mut self,
-        source: &S,
         policy: &P,
         overlay: &StateOverlay,
         initial_states: &[Bits],
         rng: &mut Rng,
         detected: &mut [bool],
         opts: &ConstructOptions,
-    ) -> ConstructionRun
-    where
-        S: SeedSource + ?Sized,
-        P: AdmissibilityPolicy + ?Sized,
-    {
+    ) -> ConstructionRun {
         assert!(
             !initial_states.is_empty(),
             "need at least one initial state"
@@ -450,15 +436,11 @@ impl<'n> GenerationEngine<'n> {
             "detection flags length mismatch"
         );
         let t0 = Instant::now();
-        let net = self.net;
         let cfg = self.cfg;
         let progress = self.progress.clone();
-        let fsim = &mut self.fsim;
-        let active_faults = &self.active_faults;
-        let active_idx = &self.active_idx;
         let mut queue = SeedQueue::new();
         let mut stats = GenerationStats {
-            faults_skipped_lint: self.faults.len() - active_faults.len(),
+            faults_skipped_lint: self.faults.len() - self.active_faults.len(),
             kernel_builds: self.kernel_stats.builds,
             kernel_cache_hits: self.kernel_stats.hits,
             kernel_build_wall: self.kernel_stats.build_wall,
@@ -492,19 +474,7 @@ impl<'n> GenerationEngine<'n> {
                 }
                 progress.publish(&stats);
                 let batch = queue.draw(rng, cfg.search.batch);
-                let evals = packed_round(
-                    net,
-                    cfg,
-                    source,
-                    policy,
-                    overlay,
-                    &batch,
-                    &cur_state,
-                    detected,
-                    active_faults,
-                    active_idx,
-                    fsim,
-                );
+                let evals = self.round(policy, overlay, &batch, &cur_state, detected);
                 stats.evals += evals.len();
                 for ev in &evals {
                     stats.sim_cycles += ev.cycles;
@@ -630,171 +600,167 @@ impl<'n> GenerationEngine<'n> {
             peak_swa,
         }
     }
-}
 
-/// One candidate-packed speculative round — the search's only evaluation
-/// path, for every batch width and policy.
-///
-/// **Stage A** expands every candidate seed and simulates all of them as
-/// lanes of one [`LaneSeqSim`] pass (chunks of 64 for larger batches): a
-/// single levelized evaluation per cycle serves the whole batch. After
-/// each cycle the policy may reject lanes from their node words
-/// ([`AdmissibilityPolicy::inadmissible_lanes`]); once every lane is
-/// rejected no later cycle can enter a prefix and the pass stops. Each
-/// lane's admissible prefix is the shorter of the one its first rejected
-/// cycle leaves and the one its switching-activity trace allows
-/// ([`AdmissibilityPolicy::admissible_prefix_from_trace`]).
-///
-/// **Stage B** submits all admissible candidates as one grouped
-/// fault-simulation call: each candidate is an independent [`TestGroup`]
-/// credited against the shared detection snapshot, packed across the
-/// engine's 64 bit-lanes with lane-masked dropping. `until_first_accept`
-/// skips the words past the first accepting group — the commit loop
-/// discards those results anyway (their snapshots are stale).
-#[allow(clippy::too_many_arguments)]
-fn packed_round<S, P>(
-    net: &Netlist,
-    cfg: &FunctionalBistConfig,
-    source: &S,
-    policy: &P,
-    overlay: &StateOverlay,
-    seeds: &[u64],
-    start: &Bits,
-    snapshot: &[bool],
-    active_faults: &[TransitionFault],
-    active_idx: &[usize],
-    fsim: &mut PackedParallelSim<'_>,
-) -> Vec<Candidate>
-where
-    S: SeedSource + ?Sized,
-    P: AdmissibilityPolicy + ?Sized,
-{
-    let seq_len = cfg.seq_len;
-    let probe = policy.probe_cycles(seq_len);
-    let mut cands: Vec<Candidate> = Vec::with_capacity(seeds.len());
-    for chunk in seeds.chunks(64) {
-        let lanes = chunk.len();
-        let pis: Vec<Vec<Bits>> = chunk.iter().map(|&s| source.expand(s, seq_len)).collect();
-        let mut sim = LaneSeqSim::new(net, lanes);
-        sim.broadcast_state(start);
-        // One flat buffer for the per-cycle packed states: cycle `c` lives at
-        // `[c * sw .. (c + 1) * sw]`. A single up-front allocation instead of
-        // `seq_len` small vectors per chunk.
-        let sw = sim.state_words().len();
-        let mut state_words: Vec<u64> = Vec::with_capacity(seq_len * sw);
-        let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(seq_len); lanes];
-        let mut first_rejected: Vec<Option<usize>> = vec![None; lanes];
-        let mut live = u64::MAX >> (64 - lanes);
-        // `c` indexes the inner (cycle) axis of `pis` inside the closure;
-        // there is no outer slice to iterate.
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..seq_len {
-            sim.step_with(|l| &pis[l][c], overlay.hold_mask_at(c));
-            state_words.extend_from_slice(sim.state_words());
-            match sim.swa() {
-                Some(s) => {
-                    for (l, t) in swa.iter_mut().enumerate() {
-                        t.push(Some(s[l]));
+    /// One candidate-packed speculative round — the search's only evaluation
+    /// path, for every batch width and policy.
+    ///
+    /// **Stage A** expands every candidate seed and simulates all of them as
+    /// lanes of one [`LaneSeqSim`] pass (chunks of 64 for larger batches): a
+    /// single levelized evaluation per cycle serves the whole batch. After
+    /// each cycle the policy may reject lanes from their node words
+    /// ([`AdmissibilityPolicy::inadmissible_lanes`]); once every lane is
+    /// rejected no later cycle can enter a prefix and the pass stops. Each
+    /// lane's admissible prefix is the shorter of the one its first rejected
+    /// cycle leaves and the one its switching-activity trace allows
+    /// ([`AdmissibilityPolicy::admissible_prefix_from_trace`]).
+    ///
+    /// **Stage B** submits all admissible candidates as one grouped
+    /// fault-simulation call: each candidate is an independent [`TestGroup`]
+    /// credited against the shared detection snapshot, packed across the
+    /// engine's 64 bit-lanes with lane-masked dropping. `until_first_accept`
+    /// skips the words past the first accepting group — the commit loop
+    /// discards those results anyway (their snapshots are stale).
+    fn round<P: AdmissibilityPolicy + ?Sized>(
+        &mut self,
+        policy: &P,
+        overlay: &StateOverlay,
+        seeds: &[u64],
+        start: &Bits,
+        snapshot: &[bool],
+    ) -> Vec<Candidate> {
+        let net = self.net;
+        let cfg = self.cfg;
+        let seq_len = cfg.seq_len;
+        let probe = policy.probe_cycles(seq_len);
+        let mut cands: Vec<Candidate> = Vec::with_capacity(seeds.len());
+        for chunk in seeds.chunks(64) {
+            let lanes = chunk.len();
+            let pis: Vec<Vec<Bits>> = chunk
+                .iter()
+                .map(|&s| self.source.expand(s, seq_len))
+                .collect();
+            let mut sim = LaneSeqSim::new(net, lanes);
+            sim.broadcast_state(start);
+            // One flat buffer for the per-cycle packed states: cycle `c` lives at
+            // `[c * sw .. (c + 1) * sw]`. A single up-front allocation instead of
+            // `seq_len` small vectors per chunk.
+            let sw = sim.state_words().len();
+            let mut state_words: Vec<u64> = Vec::with_capacity(seq_len * sw);
+            let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(seq_len); lanes];
+            let mut first_rejected: Vec<Option<usize>> = vec![None; lanes];
+            let mut live = u64::MAX >> (64 - lanes);
+            // `c` indexes the inner (cycle) axis of `pis` inside the closure;
+            // there is no outer slice to iterate.
+            #[allow(clippy::needless_range_loop)]
+            for c in 0..seq_len {
+                sim.step_with(|l| &pis[l][c], overlay.hold_mask_at(c));
+                state_words.extend_from_slice(sim.state_words());
+                match sim.swa() {
+                    Some(s) => {
+                        for (l, t) in swa.iter_mut().enumerate() {
+                            t.push(Some(s[l]));
+                        }
+                    }
+                    None => {
+                        for t in swa.iter_mut() {
+                            t.push(None);
+                        }
                     }
                 }
-                None => {
-                    for t in swa.iter_mut() {
-                        t.push(None);
-                    }
+                let mut rejected = policy.inadmissible_lanes(&sim, live) & live;
+                live &= !rejected;
+                while rejected != 0 {
+                    first_rejected[rejected.trailing_zeros() as usize] = Some(c);
+                    rejected &= rejected - 1;
+                }
+                if live == 0 {
+                    break;
                 }
             }
-            let mut rejected = policy.inadmissible_lanes(&sim, live) & live;
-            live &= !rejected;
-            while rejected != 0 {
-                first_rejected[rejected.trailing_zeros() as usize] = Some(c);
-                rejected &= rejected - 1;
-            }
-            if live == 0 {
-                break;
-            }
-        }
-        for (l, seed_pis) in pis.iter().enumerate() {
-            let len = policy
-                .admissible_prefix_from_trace(&swa[l], seq_len)
-                .unwrap_or(seq_len & !1)
-                .min(prefix_before(first_rejected[l], seq_len));
-            if len < 2 {
+            for (l, seed_pis) in pis.iter().enumerate() {
+                let len = policy
+                    .admissible_prefix_from_trace(&swa[l], seq_len)
+                    .unwrap_or(seq_len & !1)
+                    .min(prefix_before(first_rejected[l], seq_len));
+                if len < 2 {
+                    cands.push(Candidate {
+                        len,
+                        tests: overlay.empty_tests(),
+                        newly: Vec::new(),
+                        peak_swa: 0.0,
+                        next_state: None,
+                        cycles: probe,
+                    });
+                    continue;
+                }
+                // The lane's state trajectory s(0) … s(len).
+                let mut states: Vec<Bits> = Vec::with_capacity(len + 1);
+                states.push(start.clone());
+                for c in 0..len {
+                    states.push(extract_lane(&state_words[c * sw..(c + 1) * sw], l));
+                }
+                let prefix = &seed_pis[..len];
+                let tests = overlay.extract_tests(prefix, &states);
+                let peak_swa = swa[l][..len]
+                    .iter()
+                    .flatten()
+                    .fold(0.0f64, |a, &b| a.max(b));
                 cands.push(Candidate {
                     len,
-                    tests: overlay.empty_tests(),
+                    tests,
                     newly: Vec::new(),
-                    peak_swa: 0.0,
-                    next_state: None,
-                    cycles: probe,
+                    peak_swa,
+                    next_state: Some(states[len].clone()),
+                    cycles: probe + len,
                 });
-                continue;
             }
-            // The lane's state trajectory s(0) … s(len).
-            let mut states: Vec<Bits> = Vec::with_capacity(len + 1);
-            states.push(start.clone());
-            for c in 0..len {
-                states.push(extract_lane(&state_words[c * sw..(c + 1) * sw], l));
-            }
-            let prefix = &seed_pis[..len];
-            let tests = overlay.extract_tests(prefix, &states);
-            let peak_swa = swa[l][..len]
-                .iter()
-                .flatten()
-                .fold(0.0f64, |a, &b| a.max(b));
-            cands.push(Candidate {
-                len,
-                tests,
-                newly: Vec::new(),
-                peak_swa,
-                next_state: Some(states[len].clone()),
-                cycles: probe + len,
-            });
         }
-    }
 
-    let groups: Vec<TestGroup<'_>> = cands
-        .iter()
-        .filter(|c| c.len >= 2)
-        .map(|c| TestGroup::new(c.tests.as_set()))
-        .collect();
-    if groups.is_empty() {
-        return cands;
+        let groups: Vec<TestGroup<'_>> = cands
+            .iter()
+            .filter(|c| c.len >= 2)
+            .map(|c| TestGroup::new(c.tests.as_set()))
+            .collect();
+        if groups.is_empty() {
+            return cands;
+        }
+        // Simulate only the lint-surviving faults; report newly detected ones
+        // as indices into the full list.
+        let base: Vec<bool> = self.active_idx.iter().map(|&i| snapshot[i]).collect();
+        let outs = self.fsim.simulate_groups(
+            &groups,
+            &self.active_faults,
+            &base,
+            &FaultSimOptions::new()
+                .threads(cfg.search.threads)
+                .until_first_accept(true),
+        );
+        let mut it = outs.into_iter();
+        for cand in cands.iter_mut().filter(|c| c.len >= 2) {
+            let out = it.next().expect("one outcome per group");
+            cand.newly = out.newly.iter().map(|&j| self.active_idx[j]).collect();
+        }
+        cands
     }
-    // Simulate only the lint-surviving faults; report newly detected ones
-    // as indices into the full list.
-    let base: Vec<bool> = active_idx.iter().map(|&i| snapshot[i]).collect();
-    let outs = fsim.simulate_groups(
-        &groups,
-        active_faults,
-        &base,
-        &FaultSimOptions::new()
-            .threads(cfg.search.threads)
-            .until_first_accept(true),
-    );
-    let mut it = outs.into_iter();
-    for cand in cands.iter_mut().filter(|c| c.len >= 2) {
-        let out = it.next().expect("one outcome per group");
-        cand.newly = out.newly.iter().map(|&j| active_idx[j]).collect();
-    }
-    cands
 }
 
 /// Replay constructed sequences and return their extracted tests — works
-/// for every mode: pass the mode's [`SeedSource`] and [`StateOverlay`].
-/// Used by verification and by downstream stages that need the exact test
-/// set an outcome applied.
-pub fn replay_tests<S: SeedSource + ?Sized>(
+/// for every mode: pass the mode's [`StateOverlay`]; seeds expand through
+/// the circuit's TPG under `cfg`, as in the engine. Used by verification
+/// and by downstream stages that need the exact test set an outcome
+/// applied.
+pub fn replay_tests(
     net: &Netlist,
-    source: &S,
+    cfg: &FunctionalBistConfig,
     overlay: &StateOverlay,
     sequences: &[MultiSegmentSequence],
-    seq_len: usize,
 ) -> OwnedTests {
+    let source = TpgSeedSource::for_circuit(net, cfg);
     let mut all = overlay.empty_tests();
     for seq in sequences {
         let mut cur = seq.initial_state.clone();
         for seg in &seq.segments {
-            let pis = source.expand(seg.seed, seq_len);
+            let pis = source.expand(seg.seed, cfg.seq_len);
             let prefix = &pis[..seg.len];
             let (states, _) = overlay.simulate(net, &cur, prefix);
             all.append(overlay.extract_tests(prefix, &states));
@@ -878,9 +844,7 @@ mod tests {
         let mut detected = vec![false; n];
         let mut rng = Rng::new(cfg.master_seed);
         let zero = Bits::zeros(3);
-        let source = TpgSeedSource::for_circuit(&net, &cfg);
         let run = engine.construct(
-            &source,
             &SwaRule { bound: 1.0 },
             &StateOverlay::Identity,
             std::slice::from_ref(&zero),
@@ -917,9 +881,7 @@ mod tests {
         let mut detected = vec![false; engine.num_faults()];
         let mut rng = Rng::new(cfg.master_seed);
         let zero = Bits::zeros(3);
-        let source = TpgSeedSource::for_circuit(&net, &cfg);
         let run = engine.construct(
-            &source,
             &Unbounded,
             &StateOverlay::Identity,
             std::slice::from_ref(&zero),

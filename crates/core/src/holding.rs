@@ -24,9 +24,7 @@ use fbt_netlist::Netlist;
 use fbt_sim::Bits;
 
 use crate::constrained::ConstrainedOutcome;
-use crate::engine::{
-    self, ConstructOptions, ConstructionRun, GenerationEngine, StateOverlay, TpgSeedSource,
-};
+use crate::engine::{self, ConstructOptions, ConstructionRun, GenerationEngine, StateOverlay};
 use crate::outcome::{deref_summary, MultiSegmentSequence, OutcomeSummary};
 use crate::policy::SwaRule;
 use crate::stats::GenerationStats;
@@ -83,7 +81,6 @@ impl HoldingOutcome {
     /// set's hold overlay) and return the exact two-pattern tests they
     /// applied (see [`engine::replay_tests`]).
     pub fn replay_tests(&self, net: &Netlist, cfg: &FunctionalBistConfig) -> Vec<TwoPatternTest> {
-        let source = TpgSeedSource::for_circuit(net, cfg);
         let n_ff = net.num_dffs();
         let mut all = Vec::with_capacity(self.tests_applied);
         for (set, seqs) in self.sets.iter().zip(&self.sequences_per_set) {
@@ -91,9 +88,7 @@ impl HoldingOutcome {
                 mask: set.mask(n_ff),
                 h: cfg.hold_period_log2,
             };
-            all.extend(
-                engine::replay_tests(net, &source, &overlay, seqs, cfg.seq_len).into_two_pattern(),
-            );
+            all.extend(engine::replay_tests(net, cfg, &overlay, seqs).into_two_pattern());
         }
         all
     }
@@ -127,40 +122,142 @@ impl HoldingOutcome {
     }
 }
 
-/// One construction run (the Fig. 4.9 procedure with holding): the unified
-/// engine under a [`StateOverlay::Hold`], marking `detected`.
-#[allow(clippy::too_many_arguments)]
-fn construct(
-    engine: &mut GenerationEngine<'_>,
-    source: &TpgSeedSource,
-    bound: f64,
-    cfg: &FunctionalBistConfig,
-    r_limit: usize,
-    q_limit: usize,
-    mask: &Bits,
-    detected: &mut [bool],
-    rng: &mut Rng,
-) -> ConstructionRun {
-    let overlay = StateOverlay::Hold {
-        mask: mask.clone(),
-        h: cfg.hold_period_log2,
-    };
-    let zero = Bits::zeros(engine.net().num_dffs());
-    engine.construct(
-        source,
-        &SwaRule { bound },
-        &overlay,
-        std::slice::from_ref(&zero),
-        rng,
-        detected,
-        &ConstructOptions {
-            r_limit,
-            q_limit,
-            single_sequence: false,
-            chain_state: true,
-            keep_tests: false,
-        },
-    )
+/// The search both hold-set selectors run: one engine over the base
+/// outcome's full fault list, the `SWAfunc` rule, and the outcome being
+/// built. Every probe and every commit is one construction run (the
+/// Fig. 4.9 procedure with holding) under the set's
+/// [`StateOverlay::Hold`], and its stats are absorbed in call order.
+struct HoldingSearch<'n> {
+    engine: GenerationEngine<'n>,
+    cfg: &'n FunctionalBistConfig,
+    rule: SwaRule,
+    n_ff: usize,
+    out: HoldingOutcome,
+    t0: Instant,
+}
+
+impl<'n> HoldingSearch<'n> {
+    /// A search starting from `base`'s detection flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid configurations, or if `base` was produced for a
+    /// different circuit (fault list length mismatch).
+    fn new(
+        net: &'n Netlist,
+        swafunc: f64,
+        cfg: &'n FunctionalBistConfig,
+        base: &ConstrainedOutcome,
+    ) -> Self {
+        cfg.validate();
+        assert_eq!(
+            base.faults.len(),
+            fbt_fault::collapse(net, &fbt_fault::all_transition_faults(net)).len(),
+            "base outcome does not match this circuit"
+        );
+        let t0 = Instant::now();
+        HoldingSearch {
+            // The holding stage fault-simulates the full base fault list (no
+            // lint projection): unreachable held states can expose faults
+            // the preflight's reachable-operation reasoning does not cover
+            // conservatively.
+            engine: GenerationEngine::with_faults(net, cfg, base.faults.clone(), false),
+            cfg,
+            rule: SwaRule { bound: swafunc },
+            n_ff: net.num_dffs(),
+            out: HoldingOutcome {
+                sets: Vec::new(),
+                sequences_per_set: Vec::new(),
+                base_coverage: base.fault_coverage(),
+                swafunc,
+                summary: OutcomeSummary {
+                    faults: Vec::new(),
+                    detected: base.detected.clone(),
+                    tests_applied: 0,
+                    peak_swa: 0.0,
+                    stats: GenerationStats::default(),
+                },
+            },
+            t0,
+        }
+    }
+
+    /// `cfg.hold_tree_height`, capped at ⌈log2 |FF|⌉: halving reaches
+    /// single flip-flops by that level, so every set below it is empty.
+    fn height(&self) -> u32 {
+        let cap = self.n_ff.max(1).next_power_of_two().trailing_zeros();
+        self.cfg.hold_tree_height.min(cap)
+    }
+
+    /// One construction run under `set`'s hold mask with the given `R`/`Q`
+    /// limits, marking `detected`; returns how many faults it newly
+    /// detected, and the run.
+    fn run(
+        &mut self,
+        set: &[usize],
+        limits: (usize, usize),
+        detected: &mut [bool],
+        rng: &mut Rng,
+    ) -> (usize, ConstructionRun) {
+        let overlay = StateOverlay::Hold {
+            mask: HoldSet::new(set.to_vec()).mask(self.n_ff),
+            h: self.cfg.hold_period_log2,
+        };
+        let zero = Bits::zeros(self.n_ff);
+        let before = count(detected);
+        let run = self.engine.construct(
+            &self.rule,
+            &overlay,
+            std::slice::from_ref(&zero),
+            rng,
+            detected,
+            &ConstructOptions {
+                r_limit: limits.0,
+                q_limit: limits.1,
+                single_sequence: false,
+                chain_state: true,
+                keep_tests: false,
+            },
+        );
+        self.out.stats.absorb(&run.stats);
+        (count(detected) - before, run)
+    }
+
+    /// `set`'s detecting ability: a single-attempt run (`R = Q = 1`) from
+    /// its own `seed`, on a copy of the current detection flags.
+    fn probe(&mut self, set: &[usize], seed: u64) -> usize {
+        let mut scratch = self.out.detected.clone();
+        self.run(set, (1, 1), &mut scratch, &mut Rng::new(seed)).0
+    }
+
+    /// Run `set` with the full `R`/`Q` limits from `rng.fork()`, keeping it
+    /// only if it detects new faults.
+    fn commit(&mut self, set: Vec<usize>, rng: &mut Rng) {
+        let cfg = self.cfg;
+        let limits = (cfg.segment_failure_limit, cfg.attempt_failure_limit);
+        let mut detected = std::mem::take(&mut self.out.detected);
+        let (newly, run) = self.run(&set, limits, &mut detected, &mut rng.fork());
+        self.out.detected = detected;
+        if newly > 0 {
+            self.out.sets.push(HoldSet::new(set));
+            self.out.sequences_per_set.push(run.sequences);
+            self.out.tests_applied += run.tests_applied;
+            self.out.peak_swa = self.out.peak_swa.max(run.peak_swa);
+        }
+    }
+
+    /// The built outcome, with the fault list and the stage's wall time.
+    fn finish(self) -> HoldingOutcome {
+        let mut out = self.out;
+        out.stats.total_wall = self.t0.elapsed();
+        out.faults = self.engine.into_faults();
+        out
+    }
+}
+
+/// Number of set detection flags.
+fn count(detected: &[bool]) -> usize {
+    detected.iter().filter(|&&d| d).count()
 }
 
 /// Run the optional state-holding stage after constrained generation.
@@ -181,8 +278,9 @@ fn construct(
 /// ```
 ///
 /// Implements the set-selection procedure of §4.5.2: a full and complete
-/// binary tree of height `cfg.hold_tree_height` is built by randomly halving
-/// the set of all state variables; each node's *detecting ability* (`Det`) is
+/// binary tree of height `cfg.hold_tree_height` (at most ⌈log2 |FF|⌉, below
+/// which every set is empty) is built by randomly halving the set of all
+/// state variables; each node's *detecting ability* (`Det`) is
 /// probed with a single-attempt construction run (`R = Q = 1`); the tree is
 /// then resolved bottom-up into a partition, and each resulting subset is
 /// committed with full `R`/`Q` limits if it detects additional faults.
@@ -197,28 +295,15 @@ pub fn improve_with_holding(
     cfg: &FunctionalBistConfig,
     base: &ConstrainedOutcome,
 ) -> HoldingOutcome {
-    cfg.validate();
-    assert_eq!(
-        base.faults.len(),
-        fbt_fault::collapse(net, &fbt_fault::all_transition_faults(net)).len(),
-        "base outcome does not match this circuit"
-    );
-    let t0 = Instant::now();
-    let source = TpgSeedSource::for_circuit(net, cfg);
-    // The holding stage fault-simulates the full base fault list (no lint
-    // projection): unreachable held states can expose faults the preflight's
-    // reachable-operation reasoning does not cover conservatively.
-    let mut engine = GenerationEngine::with_faults(net, cfg, base.faults.clone(), false);
-    let mut stats = GenerationStats::default();
-    let n_ff = net.num_dffs();
+    let mut search = HoldingSearch::new(net, swafunc, cfg, base);
     let mut rng = Rng::new(cfg.master_seed ^ 0x401D);
 
     // Build the tree of candidate sets (heap layout, root at 0).
-    let height = cfg.hold_tree_height as usize;
+    let height = search.height();
     let n_nodes = (1usize << (height + 1)) - 1;
     let n_internal = (1usize << height) - 1;
     let mut sets: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    sets[0] = (0..n_ff).collect();
+    sets[0] = (0..net.num_dffs()).collect();
     for i in 0..n_internal {
         if sets[i].len() < 2 {
             continue;
@@ -235,29 +320,12 @@ pub fn improve_with_holding(
         sets[2 * i + 2] = b;
     }
 
-    // Detecting ability per node (R = Q = 1 probes on a scratch fault list).
+    // Detecting ability per node, each probed against the base flags.
     let mut det = vec![0usize; n_nodes];
     for i in 0..n_nodes {
-        if sets[i].is_empty() {
-            continue;
+        if !sets[i].is_empty() {
+            det[i] = search.probe(&sets[i], cfg.master_seed ^ (0xD37 + i as u64));
         }
-        let mask = HoldSet::new(sets[i].clone()).mask(n_ff);
-        let mut scratch = base.detected.clone();
-        let mut probe_rng = Rng::new(cfg.master_seed ^ (0xD37 + i as u64));
-        let before = scratch.iter().filter(|&&d| d).count();
-        let probe = construct(
-            &mut engine,
-            &source,
-            swafunc,
-            cfg,
-            1,
-            1,
-            &mask,
-            &mut scratch,
-            &mut probe_rng,
-        );
-        stats.absorb(&probe.stats);
-        det[i] = scratch.iter().filter(|&&d| d).count() - before;
     }
 
     // Bottom-up resolution into a partition (children have larger indices,
@@ -281,54 +349,11 @@ pub fn improve_with_holding(
             }
         }
     }
-    let candidates = std::mem::take(&mut selected[0]);
 
-    // Commit: each candidate subset is used with the full R/Q limits and
-    // kept only if it detects additional faults.
-    let mut detected = base.detected.clone();
-    let mut kept_sets: Vec<HoldSet> = Vec::new();
-    let mut sequences_per_set: Vec<Vec<MultiSegmentSequence>> = Vec::new();
-    let mut tests_applied = 0usize;
-    let mut peak_swa = 0.0f64;
-    for subset in candidates {
-        let mask = HoldSet::new(subset.clone()).mask(n_ff);
-        let before = detected.iter().filter(|&&d| d).count();
-        let mut commit_rng = rng.fork();
-        let commit = construct(
-            &mut engine,
-            &source,
-            swafunc,
-            cfg,
-            cfg.segment_failure_limit,
-            cfg.attempt_failure_limit,
-            &mask,
-            &mut detected,
-            &mut commit_rng,
-        );
-        stats.absorb(&commit.stats);
-        let newly = detected.iter().filter(|&&d| d).count() - before;
-        if newly > 0 {
-            kept_sets.push(HoldSet::new(subset));
-            sequences_per_set.push(commit.sequences);
-            tests_applied += commit.tests_applied;
-            peak_swa = peak_swa.max(commit.peak_swa);
-        }
+    for subset in std::mem::take(&mut selected[0]) {
+        search.commit(subset, &mut rng);
     }
-    stats.total_wall = t0.elapsed();
-
-    HoldingOutcome {
-        sets: kept_sets,
-        sequences_per_set,
-        base_coverage: base.fault_coverage(),
-        swafunc,
-        summary: OutcomeSummary {
-            faults: engine.into_faults(),
-            detected,
-            tests_applied,
-            peak_swa,
-            stats,
-        },
-    }
+    search.finish()
 }
 
 /// The §5.1 "advanced procedure" future-work item: greedy, coverage-adaptive
@@ -343,22 +368,23 @@ pub fn improve_with_holding(
 ///
 /// Candidate granularity matches the tree's leaves: the flip-flops are
 /// randomly partitioned into `2^H` groups.
+///
+/// # Panics
+///
+/// Panics if `base` was produced for a different circuit (fault list length
+/// mismatch).
 pub fn improve_with_holding_greedy(
     net: &Netlist,
     swafunc: f64,
     cfg: &FunctionalBistConfig,
     base: &ConstrainedOutcome,
 ) -> HoldingOutcome {
-    cfg.validate();
-    let t0 = Instant::now();
-    let source = TpgSeedSource::for_circuit(net, cfg);
-    let mut engine = GenerationEngine::with_faults(net, cfg, base.faults.clone(), false);
-    let mut stats = GenerationStats::default();
+    let mut search = HoldingSearch::new(net, swafunc, cfg, base);
     let n_ff = net.num_dffs();
     let mut rng = Rng::new(cfg.master_seed ^ 0x93EED);
 
     // Random partition into 2^H groups (non-empty ones only).
-    let n_groups = (1usize << cfg.hold_tree_height).min(n_ff.max(1));
+    let n_groups = (1usize << search.height()).min(n_ff.max(1));
     let mut order: Vec<usize> = (0..n_ff).collect();
     rng.shuffle(&mut order);
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
@@ -370,80 +396,19 @@ pub fn improve_with_holding_greedy(
         g.sort_unstable();
     }
 
-    let mut detected = base.detected.clone();
-    let mut kept_sets: Vec<HoldSet> = Vec::new();
-    let mut sequences_per_set: Vec<Vec<MultiSegmentSequence>> = Vec::new();
-    let mut tests_applied = 0usize;
-    let mut peak_swa = 0.0f64;
-
-    loop {
+    while !groups.is_empty() {
         // Probe every remaining group against the current detection state.
         let mut best: Option<(usize, usize)> = None; // (gain, index)
         for (gi, g) in groups.iter().enumerate() {
-            let mask = HoldSet::new(g.clone()).mask(n_ff);
-            let mut scratch = detected.clone();
-            let before = scratch.iter().filter(|&&d| d).count();
-            let mut probe_rng = Rng::new(cfg.master_seed ^ (0x6EED + gi as u64));
-            let probe = construct(
-                &mut engine,
-                &source,
-                swafunc,
-                cfg,
-                1,
-                1,
-                &mask,
-                &mut scratch,
-                &mut probe_rng,
-            );
-            stats.absorb(&probe.stats);
-            let gain = scratch.iter().filter(|&&d| d).count() - before;
+            let gain = search.probe(g, cfg.master_seed ^ (0x6EED + gi as u64));
             if gain > 0 && best.is_none_or(|(bg, _)| gain > bg) {
                 best = Some((gain, gi));
             }
         }
         let Some((_, gi)) = best else { break };
-        let subset = groups.remove(gi);
-        let mask = HoldSet::new(subset.clone()).mask(n_ff);
-        let before = detected.iter().filter(|&&d| d).count();
-        let mut commit_rng = rng.fork();
-        let commit = construct(
-            &mut engine,
-            &source,
-            swafunc,
-            cfg,
-            cfg.segment_failure_limit,
-            cfg.attempt_failure_limit,
-            &mask,
-            &mut detected,
-            &mut commit_rng,
-        );
-        stats.absorb(&commit.stats);
-        let newly = detected.iter().filter(|&&d| d).count() - before;
-        if newly > 0 {
-            kept_sets.push(HoldSet::new(subset));
-            sequences_per_set.push(commit.sequences);
-            tests_applied += commit.tests_applied;
-            peak_swa = peak_swa.max(commit.peak_swa);
-        }
-        if groups.is_empty() {
-            break;
-        }
+        search.commit(groups.remove(gi), &mut rng);
     }
-    stats.total_wall = t0.elapsed();
-
-    HoldingOutcome {
-        sets: kept_sets,
-        sequences_per_set,
-        base_coverage: base.fault_coverage(),
-        swafunc,
-        summary: OutcomeSummary {
-            faults: engine.into_faults(),
-            detected,
-            tests_applied,
-            peak_swa,
-            stats,
-        },
-    }
+    search.finish()
 }
 
 #[cfg(test)]
@@ -452,21 +417,23 @@ mod tests {
     use crate::driver::{swafunc as compute_swafunc, DrivingBlock};
     use crate::generate_constrained;
     use fbt_fault::{FaultSimEngine, FaultSimOptions, PackedParallelSim, TestSet};
-    use fbt_netlist::s27;
+    use fbt_netlist::{s27, synth};
 
-    fn base_outcome() -> (
-        fbt_netlist::Netlist,
-        f64,
-        FunctionalBistConfig,
-        ConstrainedOutcome,
-    ) {
-        let net = s27();
+    fn base_for(net: Netlist) -> (Netlist, f64, FunctionalBistConfig, ConstrainedOutcome) {
         let cfg = FunctionalBistConfig::smoke();
         // A deliberately tight bound so functional broadside tests leave
         // faults on the table for holding to pick up.
         let bound = compute_swafunc(&net, &DrivingBlock::Buffers, &cfg) * 0.75;
         let base = generate_constrained(&net, bound, &cfg);
         (net, bound, cfg, base)
+    }
+
+    fn base_outcome() -> (Netlist, f64, FunctionalBistConfig, ConstrainedOutcome) {
+        base_for(s27())
+    }
+
+    fn s298() -> Netlist {
+        synth::generate(&synth::find("s298").unwrap())
     }
 
     #[test]
@@ -504,28 +471,6 @@ mod tests {
             out.nbits(),
             out.sets.iter().map(HoldSet::len).sum::<usize>()
         );
-    }
-
-    #[test]
-    fn held_simulation_keeps_masked_ffs() {
-        let net = s27();
-        let mut mask = Bits::zeros(3);
-        mask.set(1, true);
-        let pis: Vec<Bits> = (0..8)
-            .map(|i| Bits::from_bools(&[i % 2 == 0, true, false, i % 3 == 0]))
-            .collect();
-        let start = Bits::from_str01("010");
-        let overlay = StateOverlay::Hold { mask, h: 1 };
-        let (states, _) = overlay.simulate(&net, &start, &pis);
-        // h = 1: every even cycle's update holds FF 1, so its value can only
-        // change on odd-cycle updates.
-        for c in (0..pis.len()).step_by(2) {
-            assert_eq!(
-                states[c + 1].get(1),
-                states[c].get(1),
-                "FF 1 changed on held update {c}"
-            );
-        }
     }
 
     #[test]
@@ -586,22 +531,54 @@ mod tests {
 
     #[test]
     fn speculation_matches_serial_exactly() {
-        let (net, bound, cfg, base) = base_outcome();
-        let serial_cfg = FunctionalBistConfig {
-            search: crate::SearchOptions::serial(),
-            ..cfg.clone()
-        };
-        let reference = improve_with_holding(&net, bound, &serial_cfg, &base);
-        for (batch, threads) in [(4, 1), (16, 2)] {
-            let spec_cfg = FunctionalBistConfig {
-                search: crate::SearchOptions { batch, threads },
+        // The greedy selector keeps no set on s27 and three on s298.
+        for (net, bound, cfg, base) in [base_outcome(), base_for(s298())] {
+            let serial_cfg = FunctionalBistConfig {
+                search: crate::SearchOptions::serial(),
                 ..cfg.clone()
             };
-            let out = improve_with_holding(&net, bound, &spec_cfg, &base);
-            assert_eq!(out.detected, reference.detected, "batch {batch}");
-            assert_eq!(out.sets, reference.sets, "batch {batch}");
-            assert_eq!(out.sequences_per_set, reference.sequences_per_set);
-            assert_eq!(out.tests_applied, reference.tests_applied);
+            for select in [improve_with_holding, improve_with_holding_greedy] {
+                let reference = select(&net, bound, &serial_cfg, &base);
+                for (batch, threads) in [(4, 1), (16, 2)] {
+                    let spec_cfg = FunctionalBistConfig {
+                        search: crate::SearchOptions { batch, threads },
+                        ..cfg.clone()
+                    };
+                    let out = select(&net, bound, &spec_cfg, &base);
+                    assert_eq!(out.detected, reference.detected, "batch {batch}");
+                    assert_eq!(out.sets, reference.sets, "batch {batch}");
+                    assert_eq!(out.sequences_per_set, reference.sequences_per_set);
+                    assert_eq!(out.tests_applied, reference.tests_applied);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn tall_tree_selects_as_its_populated_height() {
+        // s27 has 3 flip-flops, so halving reaches single flip-flops at
+        // level 2 and every set below it is empty. Under the untightened
+        // bound the tree keeps a set.
+        let net = s27();
+        let cfg = FunctionalBistConfig::smoke();
+        let bound = compute_swafunc(&net, &DrivingBlock::Buffers, &cfg);
+        let base = generate_constrained(&net, bound, &cfg);
+        let at = |h| FunctionalBistConfig {
+            hold_tree_height: h,
+            ..cfg.clone()
+        };
+        for select in [improve_with_holding, improve_with_holding_greedy] {
+            let low = select(&net, bound, &at(2), &base);
+            let tall = select(&net, bound, &at(64), &base);
+            assert_eq!(tall.summary_json(), low.summary_json());
+            assert_eq!(tall.stats.counters_json(), low.stats.counters_json());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "base outcome does not match this circuit")]
+    fn greedy_rejects_another_circuits_base() {
+        let (_, bound, cfg, base) = base_for(s298());
+        let _ = improve_with_holding_greedy(&s27(), bound, &cfg, &base);
     }
 }

@@ -23,7 +23,7 @@ use fbt_netlist::rng::Rng;
 use fbt_netlist::Netlist;
 use fbt_sim::Bits;
 
-use crate::engine::{self, ConstructOptions, GenerationEngine, StateOverlay, TpgSeedSource};
+use crate::engine::{self, ConstructOptions, GenerationEngine, StateOverlay};
 use crate::outcome::{deref_summary, MultiSegmentSequence, OutcomeSummary, Segment};
 use crate::policy::Unbounded;
 use crate::progress::Progress;
@@ -71,10 +71,9 @@ impl GenerationOutcome {
     ) -> Vec<fbt_fault::BroadsideTest> {
         engine::replay_tests(
             net,
-            &TpgSeedSource::for_circuit(net, cfg),
+            cfg,
             &StateOverlay::Identity,
             &self.as_sequences(net, cfg),
-            cfg.seq_len,
         )
         .into_broadside()
     }
@@ -137,12 +136,10 @@ pub fn generate_unconstrained_watched(
     let t0 = Instant::now();
     let mut engine = GenerationEngine::new(net, cfg);
     engine.set_progress(progress.clone());
-    let source = TpgSeedSource::for_circuit(net, cfg);
     let mut rng = Rng::new(cfg.master_seed);
     let zero = Bits::zeros(net.num_dffs());
     let mut detected = vec![false; engine.num_faults()];
     let run = engine.construct(
-        &source,
         &Unbounded,
         &StateOverlay::Identity,
         std::slice::from_ref(&zero),

@@ -63,7 +63,7 @@ pub fn lint_netlist(net: &Netlist) -> LintReport {
     let c = graph::RawCircuit::from_netlist(net);
     structural::run(&c, &mut report);
     scoap::run(&c, &mut report);
-    structural::x_source_ffs(net, None, &mut report);
+    structural::x_source_ffs(net, &mut report);
     dupes::run(net, &mut report);
     report.sort();
     report
@@ -79,7 +79,7 @@ pub fn lint_raw(raw: &RawDoc) -> LintReport {
     structural::run(&c, &mut report);
     scoap::run(&c, &mut report);
     if let Ok(net) = raw.to_builder().and_then(|b| b.finish()) {
-        structural::x_source_ffs(&net, None, &mut report);
+        structural::x_source_ffs(&net, &mut report);
         dupes::run(&net, &mut report);
     }
     report.sort();

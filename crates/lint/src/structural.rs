@@ -477,22 +477,16 @@ fn fanout_outliers(c: &RawCircuit, report: &mut LintReport) {
 }
 
 /// `x-source-ff`: three-valued simulation from the all-X state, primary
-/// inputs held at `cube` (all-X when absent), for up to `2·|FF|+2` frames.
-/// Flip-flops that never reach a binary value are reported in one
-/// aggregate note — they depend entirely on scan for initialization, and a
-/// signature register observing them may capture X.
-pub fn x_source_ffs(net: &Netlist, cube: Option<&[Trit]>, report: &mut LintReport) {
+/// inputs held at X, for up to `2·|FF|+2` frames. Flip-flops that never
+/// reach a binary value are reported in one aggregate note — they depend
+/// entirely on scan for initialization, and a signature register observing
+/// them may capture X.
+pub fn x_source_ffs(net: &Netlist, report: &mut LintReport) {
     let n_ff = net.num_dffs();
     if n_ff == 0 {
         return;
     }
-    let pi: Vec<Trit> = match cube {
-        Some(c) => c.to_vec(),
-        None => vec![Trit::X; net.num_inputs()],
-    };
-    if pi.len() != net.num_inputs() {
-        return; // a cube of another width belongs to another circuit
-    }
+    let pi = vec![Trit::X; net.num_inputs()];
     let frames = (2 * n_ff + 2).min(256);
     let mut state = vec![Trit::X; n_ff];
     let mut ever = vec![false; n_ff];
@@ -661,30 +655,9 @@ mod tests {
         b.output("q").unwrap();
         let net = b.finish().unwrap();
         let mut r = LintReport::new("xs");
-        x_source_ffs(&net, None, &mut r);
+        x_source_ffs(&net, &mut r);
         assert_eq!(r.diagnostics().len(), 1);
         assert_eq!(r.diagnostics()[0].rule_id, "x-source-ff");
-    }
-
-    #[test]
-    fn x_source_quiet_when_cube_initializes_ff() {
-        // With the TPG cube pinning a = 0, d = AND(a, b) resolves to 0 in
-        // three-valued simulation, so the flip-flop initializes.
-        let mut b = fbt_netlist::NetlistBuilder::new("init");
-        b.input("a").unwrap();
-        b.input("b").unwrap();
-        b.dff("q", "d").unwrap();
-        b.gate(GateKind::And, "d", &["a", "b"]).unwrap();
-        b.output("q").unwrap();
-        let net = b.finish().unwrap();
-        let cube = vec![Trit::Zero, Trit::X];
-        let mut r = LintReport::new("init");
-        x_source_ffs(&net, Some(&cube), &mut r);
-        assert!(r.is_empty(), "{:?}", r.diagnostics());
-        // Without the cube the same flip-flop is an X-source.
-        let mut r2 = LintReport::new("init");
-        x_source_ffs(&net, None, &mut r2);
-        assert_eq!(r2.diagnostics().len(), 1);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! runs must produce identical statistics.
 //!
 //! Runs deterministically from fixed seeds with the in-tree RNG so the
-//! suite needs no external crates (the build environment is offline); a
-//! proptest version of the same checks lives in `tests/properties.rs`
-//! behind the `proptest` feature.
+//! suite needs no external crates (the build environment is offline).
 
 use fbt_netlist::rng::Rng;
 use fbt_sat::{Lit, SatResult, Solver, Var};

@@ -2,8 +2,7 @@
 # Offline CI gate: formatting, lints, build and the tier-1 test command.
 #
 # Everything here runs without network access — the workspace has no
-# external dependencies and the proptest-based suites are feature-gated
-# off by default.
+# external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,6 +1,5 @@
-//! Deterministic ports of the property-based tests in `tests/properties.rs`,
-//! driven by the in-tree RNG so they run in the offline build environment
-//! (the proptest originals are gated behind the `proptest` feature).
+//! Randomized invariant tests, driven by the in-tree RNG so they run in the
+//! offline build environment.
 //!
 //! Each test sweeps a fixed number of randomly generated circuits and
 //! stimulus sets from fixed seeds, checking the invariants DESIGN.md
@@ -17,8 +16,8 @@ use fbt::netlist::{synth, Netlist};
 use fbt::sim::seq::simulate_sequence;
 use fbt::sim::{tv, Bits, Trit};
 
-/// Derive a small random circuit from one RNG draw, mirroring the ranges
-/// the proptest strategy uses.
+/// Derive a small random circuit from one RNG draw: 2–5 inputs, 1–3
+/// outputs, 2–7 flip-flops and 20–79 gates.
 fn small_circuit(rng: &mut Rng) -> Netlist {
     let pi = 2 + (rng.next_u64() % 4) as usize; // 2..6
     let po = 1 + (rng.next_u64() % 3) as usize; // 1..4
