@@ -18,6 +18,13 @@
 //! | POST   | `/jobs/<id>/cancel` | cancel queued, or flag a running job        |
 //! | POST   | `/admin/shutdown`   | drain every job, then stop accepting        |
 //!
+//! The pool keeps only the last [`FINISHED_KEPT`](crate::pool::FINISHED_KEPT)
+//! finished jobs, so the id of an older one answers `404 unknown job` on
+//! `/jobs/<id>`, `/result` and `/cancel`, like an id never issued. A request
+//! that does not parse (bad request line, header or `Content-Length`, or a
+//! head or body over its cap) gets a `400` with the cause and
+//! `Connection: close`; a peer that closes or times out is dropped silently.
+//!
 //! Shutdown ordering matters: the handler first drains the pool (new
 //! submissions are rejected, every queued and running job runs to its
 //! single commit) and marks shutdown *pending*; the connection thread
@@ -262,13 +269,20 @@ impl Server {
 }
 
 /// Serve one connection: read requests until the peer closes, asks to
-/// close, errors, or the server shuts down.
+/// close, errors, or the server shuts down. A malformed request is answered
+/// `400` before the connection closes, since its framing cannot be trusted.
 fn serve_connection(state: &ServerState, mut stream: TcpStream) {
     // A stuck peer must not pin this thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     loop {
         let req = match read_request(&mut stream) {
             Ok(Some(req)) => req,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let body = error_json(&e.to_string());
+                let _ =
+                    write_response(&mut stream, 400, "application/json", body.as_bytes(), false);
+                return;
+            }
             Ok(None) | Err(_) => return,
         };
         let (status, body) = state.handle(&req);

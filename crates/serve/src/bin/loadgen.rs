@@ -3,9 +3,11 @@
 //! Replays a concurrent request mix against a running `fbt-serve` instance:
 //! each worker thread drives its own keep-alive connection, submitting jobs
 //! (generation, lint, ATPG) round-robin over the server's circuit catalog,
-//! polling each job to completion, and fetching its result artifact. Emits
-//! a `BENCH_serve.json` report with latency percentiles (per kind and
-//! overall), throughput, error counts, and the server's cache counters.
+//! polling each job to completion with a doubling back-off (1 ms up to
+//! 32 ms, so waiting clients leave the workers the CPU), and fetching its
+//! result artifact. Emits a `BENCH_serve.json` report with latency
+//! percentiles (per kind and overall), throughput, error counts, and the
+//! server's cache counters.
 //!
 //! ```text
 //! loadgen --addr HOST:PORT [--requests N] [--concurrency C]
@@ -26,6 +28,9 @@ use fbt_serve::http::{send_request, Response};
 
 /// How long to keep polling one job before calling it an error.
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
+/// The first wait between status polls, doubled after each until the cap.
+const POLL_FIRST: Duration = Duration::from_millis(1);
+const POLL_MAX: Duration = Duration::from_millis(32);
 
 struct Args {
     addr: String,
@@ -194,6 +199,7 @@ fn run_request(client: &mut Client, planned: &Planned) -> Result<Duration, Strin
         .get("job")
         .and_then(Json::as_u64)
         .ok_or("submit body: no job id")?;
+    let mut wait = POLL_FIRST;
     loop {
         if t0.elapsed() > JOB_TIMEOUT {
             return Err(format!("job {id}: timed out"));
@@ -207,7 +213,10 @@ fn run_request(client: &mut Client, planned: &Planned) -> Result<Duration, Strin
             Some("failed") | Some("cancelled") => {
                 return Err(format!("job {id}: {}", resp.body_text()))
             }
-            _ => std::thread::sleep(Duration::from_millis(2)),
+            _ => {
+                std::thread::sleep(wait);
+                wait = (wait * 2).min(POLL_MAX);
+            }
         }
     }
     let resp = client

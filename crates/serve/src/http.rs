@@ -7,7 +7,9 @@
 //! response, so the load generator and the tests speak the same dialect.
 //! Persistent connections are supported (HTTP/1.1 keep-alive semantics);
 //! chunked transfer encoding is not — every body carries an explicit
-//! `Content-Length`, which keeps framing trivial and deterministic.
+//! `Content-Length`, which keeps framing trivial and deterministic. Both
+//! sides send each message, head and body, with one write, so a keep-alive
+//! exchange never waits for the peer's delayed ACK.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -199,8 +201,17 @@ pub fn write_response(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    write_message(stream, head, body)
+}
+
+/// Send one message (head and body) with a single write. Written as two,
+/// the body is a second small segment that Nagle's algorithm (RFC 896)
+/// holds until the peer acknowledges the head, and a peer that delays its
+/// ACK (RFC 1122 §4.2.3.2) stalls every keep-alive exchange by ~40 ms.
+fn write_message(stream: &mut TcpStream, head: String, body: &[u8]) -> io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -232,9 +243,7 @@ pub fn send_request(
         "{method} {path} HTTP/1.1\r\nHost: fbt-serve\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    write_message(stream, head, body)?;
     let Some((head, early_body)) = read_head(stream)? else {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -269,6 +278,7 @@ pub fn send_request(
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::time::{Duration, Instant};
 
     /// Round-trip a request and a response over a real socket pair.
     #[test]
@@ -298,6 +308,36 @@ mod tests {
         assert_eq!(resp.status, 200);
         drop(stream);
         server.join().unwrap();
+    }
+
+    /// Keep-alive exchanges with bodies both ways must not wait for a
+    /// delayed ACK: 20 round trips take far less than one ~40 ms stall each.
+    #[test]
+    fn keep_alive_round_trips_do_not_stall() {
+        const ROUND_TRIPS: usize = 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Some(req) = read_request(&mut stream).unwrap() {
+                write_response(&mut stream, 200, "text/plain", &req.body, true).unwrap();
+            }
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        for i in 0..ROUND_TRIPS {
+            let body = format!("ping {i}");
+            let resp = send_request(&mut stream, "POST", "/echo", body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body_text(), body);
+        }
+        let elapsed = t0.elapsed();
+        drop(stream);
+        server.join().unwrap();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "{ROUND_TRIPS} keep-alive round trips took {elapsed:?}"
+        );
     }
 
     #[test]

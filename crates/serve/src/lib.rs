@@ -6,7 +6,8 @@
 //! pipeline into a long-lived service using nothing but `std::net`:
 //!
 //! - [`http`] — a hand-rolled HTTP/1.1 layer (`Content-Length` framing,
-//!   keep-alive, shared by server, load generator, and tests);
+//!   keep-alive, one write per message, shared by server, load generator,
+//!   and tests);
 //! - [`store`] — a content-addressed circuit store keyed by the structural
 //!   FNV digest from `fbt_sim::kernel`, deduplicating uploads and caching
 //!   lint reports per digest;
@@ -14,7 +15,8 @@
 //!   lifecycle with exactly-once commit accounting, and execution through
 //!   the same library calls the CLI tools make;
 //! - [`pool`] — a work-stealing shard pool (per-shard deques, back-steals)
-//!   with a draining shutdown;
+//!   with a draining shutdown and a job registry that keeps the last 256
+//!   finished jobs;
 //! - [`api`] — the endpoint surface and the accept loop.
 //!
 //! The load generator (`src/bin/loadgen.rs`) replays concurrent request

@@ -16,10 +16,16 @@
 //! such, not dropped), and [`Pool::drain`] returns once
 //! `submitted == completed + failed + cancelled` with every job committed
 //! exactly once.
+//!
+//! The job registry is bounded: it keeps every queued and running job,
+//! plus the [`FINISHED_KEPT`] most recently committed ones (done, failed,
+//! or cancelled while queued). Past that, each commit forgets the oldest
+//! finished job, whose id then reads as unknown, so a long-lived server
+//! holds a fixed number of results however many jobs it serves.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -27,6 +33,11 @@ use fbt_netlist::json::ObjWriter;
 
 use crate::jobs::{execute, Job, JobSpec};
 use crate::store::ContentStore;
+
+/// How many finished jobs the registry keeps after their commit. Every
+/// client in the repository reads a result within a few commits of it
+/// finishing, and the largest load plan runs 32 clients.
+pub const FINISHED_KEPT: usize = 256;
 
 /// Monotone pool activity counters (process lifetime).
 #[derive(Debug, Default)]
@@ -39,6 +50,8 @@ pub struct PoolCounters {
     pub failed: AtomicUsize,
     /// Jobs committed `Cancelled` (cancelled while queued).
     pub cancelled: AtomicUsize,
+    /// Finished jobs dropped from the registry past [`FINISHED_KEPT`].
+    pub evicted: AtomicUsize,
     /// Pops from a worker's home shard.
     pub local_pops: AtomicUsize,
     /// Pops stolen from another shard's back.
@@ -48,9 +61,17 @@ pub struct PoolCounters {
     pub double_commits: AtomicUsize,
 }
 
+/// Every queued and running job, plus the last [`FINISHED_KEPT`] finished.
+#[derive(Default)]
+struct Registry {
+    jobs: HashMap<u64, Arc<Job>>,
+    /// Committed ids, oldest commit first.
+    finished: VecDeque<u64>,
+}
+
 struct Shared {
     shards: Vec<Mutex<VecDeque<u64>>>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    registry: Mutex<Registry>,
     store: Arc<ContentStore>,
     counters: PoolCounters,
     draining: AtomicBool,
@@ -75,6 +96,29 @@ impl Shared {
             .map(|s| s.lock().expect("shard poisoned").len())
             .sum()
     }
+
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect("job registry poisoned")
+    }
+
+    /// Take a job's terminal transition (`commit` returns its previous
+    /// commit count) and record it as finished, forgetting the oldest
+    /// finished job past [`FINISHED_KEPT`]. Both happen under the registry
+    /// lock, so a job that reads terminal is already in the commit order.
+    fn commit(&self, id: u64, commit: impl FnOnce() -> usize) -> usize {
+        let mut registry = self.registry();
+        let prev = commit();
+        registry.finished.push_back(id);
+        if registry.finished.len() > FINISHED_KEPT {
+            let oldest = registry
+                .finished
+                .pop_front()
+                .expect("deque is over the cap");
+            registry.jobs.remove(&oldest);
+            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+        prev
+    }
 }
 
 /// The work-stealing job pool.
@@ -95,7 +139,7 @@ impl Pool {
             shards: (0..num_shards)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
-            jobs: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             store,
             counters: PoolCounters::default(),
             draining: AtomicBool::new(false),
@@ -136,11 +180,7 @@ impl Pool {
             .ok_or_else(|| format!("unknown circuit {:?}", spec.circuit))?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let job = Arc::new(Job::new(id, spec, entry));
-        self.shared
-            .jobs
-            .lock()
-            .expect("job registry poisoned")
-            .insert(id, job.clone());
+        self.shared.registry().jobs.insert(id, job.clone());
         let shard = self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.num_shards;
         self.shared.shards[shard]
             .lock()
@@ -154,14 +194,10 @@ impl Pool {
         Ok(job)
     }
 
-    /// Look a job up by id.
+    /// Look a job up by id: `None` for an id never issued, or for a
+    /// finished job that [`FINISHED_KEPT`] newer commits have displaced.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.shared
-            .jobs
-            .lock()
-            .expect("job registry poisoned")
-            .get(&id)
-            .cloned()
+        self.shared.registry().jobs.get(&id).cloned()
     }
 
     /// The backing store.
@@ -200,6 +236,7 @@ impl Pool {
             .num("completed", c.completed.load(Ordering::Relaxed))
             .num("failed", c.failed.load(Ordering::Relaxed))
             .num("cancelled", c.cancelled.load(Ordering::Relaxed))
+            .num("evicted", c.evicted.load(Ordering::Relaxed))
             .num("local_pops", c.local_pops.load(Ordering::Relaxed))
             .num("steals", c.steals.load(Ordering::Relaxed))
             .num("double_commits", c.double_commits.load(Ordering::Relaxed));
@@ -282,37 +319,26 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
 }
 
 fn run_one(shared: &Shared, id: u64) {
-    let Some(job) = shared
-        .jobs
-        .lock()
-        .expect("job registry poisoned")
-        .get(&id)
-        .cloned()
-    else {
+    let Some(job) = shared.registry().jobs.get(&id).cloned() else {
         return;
     };
     let counters = &shared.counters;
-    if !job.claim() {
+    let (prev, outcome) = if !job.claim() {
         // Cancelled while queued: the skip is the job's single commit.
-        let prev = job.commit_cancelled();
-        if prev > 0 {
-            counters.double_commits.fetch_add(1, Ordering::Relaxed);
-        }
-        counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let prev = match execute(&job, &shared.store) {
-        Ok(artifact) => {
-            let prev = job.complete(artifact);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            prev
-        }
-        Err(error) => {
-            let prev = job.fail(error);
-            counters.failed.fetch_add(1, Ordering::Relaxed);
-            prev
+        (
+            shared.commit(id, || job.commit_cancelled()),
+            &counters.cancelled,
+        )
+    } else {
+        match execute(&job, &shared.store) {
+            Ok(artifact) => (
+                shared.commit(id, || job.complete(artifact)),
+                &counters.completed,
+            ),
+            Err(error) => (shared.commit(id, || job.fail(error)), &counters.failed),
         }
     };
+    outcome.fetch_add(1, Ordering::Relaxed);
     if prev > 0 {
         counters.double_commits.fetch_add(1, Ordering::Relaxed);
     }
@@ -353,6 +379,50 @@ mod tests {
             c.local_pops.load(Ordering::Relaxed) + c.steals.load(Ordering::Relaxed),
             8
         );
+    }
+
+    #[test]
+    fn registry_keeps_the_last_finished_jobs() {
+        // Checked without a drain: a job that reads done is already in the
+        // commit order, so the eviction it caused has happened.
+        let state = crate::api::ServerState::new(Arc::new(ContentStore::with_catalog()), 1, 1);
+        let pool = &state.pool;
+        let ids: Vec<u64> = (0..=FINISHED_KEPT)
+            .map(|_| {
+                let job = pool
+                    .submit(spec("{\"circuit\":\"s27\",\"kind\":\"lint\"}"))
+                    .expect("submit");
+                while matches!(job.status(), JobStatus::Queued | JobStatus::Running) {
+                    std::thread::yield_now();
+                }
+                assert_eq!(job.status(), JobStatus::Done);
+                job.id
+            })
+            .collect();
+        assert!(
+            pool.get(ids[0]).is_none(),
+            "the oldest finished job is evicted"
+        );
+        assert!(ids[1..].iter().all(|&id| pool.get(id).is_some()));
+        assert_eq!(pool.counters().evicted.load(Ordering::Relaxed), 1);
+        let evicted = ids[0];
+        for (method, path) in [
+            ("GET", format!("/jobs/{evicted}")),
+            ("GET", format!("/jobs/{evicted}/result")),
+            ("POST", format!("/jobs/{evicted}/cancel")),
+        ] {
+            let (status, body) = state.handle(&crate::http::Request {
+                method: method.to_string(),
+                path,
+                headers: Vec::new(),
+                body: Vec::new(),
+                keep_alive: true,
+            });
+            assert_eq!(status, 404, "{method}: {body}");
+            assert!(body.contains("unknown job"), "{body}");
+        }
+        assert!(state.stats_json().contains("\"evicted\":1,"));
+        pool.drain();
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!    accept loop actually exits.
 //! 3. **Cancellation**: a job cancelled while queued is committed as
 //!    cancelled (never executed); cancelling a finished job is a no-op.
+//!
+//! A malformed request gets a `400` before its connection closes, and the
+//! server keeps serving other connections.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -221,6 +225,41 @@ fn queued_cancellation_commits_without_executing() {
     // Cancelling a finished job is a no-op observation.
     assert_eq!(blocker.cancel(), JobStatus::Done);
     assert_eq!(blocker.commit_count(), 1);
+}
+
+#[test]
+fn malformed_requests_get_a_400_and_the_server_keeps_serving() {
+    let (addr, _state, server) = start_server(1, 1);
+    for (raw, cause) in [
+        ("GARBAGE\r\n\r\n", "malformed request line"),
+        // Over the 8 MiB body cap: refused from the head, no body read.
+        (
+            "POST /circuits HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n",
+            "body too large",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream.write_all(raw.as_bytes()).expect("send");
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("a reply, then close");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{raw:?} got {reply:?}");
+        assert!(reply.contains("Connection: close\r\n"), "{reply:?}");
+        assert!(
+            reply.ends_with(&format!("{{\"error\":\"{cause}\"}}")),
+            "{reply:?}"
+        );
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let (status, _) = request(&mut stream, "GET", "/health", "");
+    assert_eq!(status, 200);
+    let (status, _) = request(&mut stream, "POST", "/admin/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().expect("accept loop exits after shutdown");
 }
 
 fn spec(body: &str) -> fbt_serve::JobSpec {

@@ -304,7 +304,9 @@ echo "== fbt-serve repaired-artifact smoke (lint+fix job, content-addressed fetc
 # stay undisturbed): upload the fixable fixture, run a lint job with
 # "fix":true, and fetch the repaired netlist both by its content digest
 # and by its derived name alias; the original alias must keep pointing at
-# the circuit as uploaded.
+# the circuit as uploaded. While it is up, a foreign client (Python's
+# http.client) checks that keep-alive requests do not wait for a delayed
+# ACK, and a malformed request line must get a 400.
 fix_port_file=$(mktemp); rm -f "${fix_port_file}"
 fix_serve_out=$(mktemp)
 target/release/fbt-serve --addr 127.0.0.1:0 --shards 1 --workers 1 \
@@ -317,7 +319,7 @@ if [ ! -s "${fix_port_file}" ]; then
     exit 1
 fi
 python3 - "$(cat "${fix_port_file}")" <<'EOF'
-import http.client, json, sys, time
+import http.client, json, socket, sys, time
 
 addr = sys.argv[1]
 host, port = addr.rsplit(":", 1)
@@ -377,6 +379,30 @@ status, body = req("GET", "/circuits/fixable.fixed")
 assert status == 200 and json.loads(body)["digest"] == fixed, (status, body)
 status, body = req("GET", "/circuits/fixable")
 assert status == 200 and json.loads(body)["digest"] == orig_digest, (status, body)
+
+# One reused connection: a server that wrote a head and its body in two
+# writes stalled each request after the first by a delayed ACK (~44 ms).
+conn = http.client.HTTPConnection(host, int(port), timeout=10)
+lint_job = json.dumps({"circuit": "s27", "kind": "lint"}).encode()
+t0 = time.perf_counter()
+for i in range(20):
+    if i % 2 == 0:
+        conn.request("POST", "/jobs", body=lint_job)
+        expected = 202
+    else:
+        conn.request("GET", "/health")
+        expected = 200
+    r = conn.getresponse()
+    data = r.read()
+    assert r.status == expected, (i, r.status, data)
+elapsed = time.perf_counter() - t0
+conn.close()
+assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
+with socket.create_connection((host, int(port)), timeout=10) as raw:
+    raw.sendall(b"GARBAGE\r\n\r\n")
+    reply = raw.recv(4096)
+assert reply.startswith(b"HTTP/1.1 400 "), reply
 
 status, body = req("POST", "/admin/shutdown")
 assert status == 200, (status, body)
