@@ -495,12 +495,8 @@ mod tests {
             let s1: Bits = (0..3).map(|_| rng.bit()).collect();
             let v1: Bits = (0..4).map(|_| rng.bit()).collect();
             let v2: Bits = (0..4).map(|_| rng.bit()).collect();
-            let test = fbt_fault::BroadsideTest::new(s1.clone(), v1.clone(), v2.clone());
-            let cube = TestCube {
-                s1: s1.iter().map(Trit::from_bool).collect(),
-                v1: v1.iter().map(Trit::from_bool).collect(),
-                v2: v2.iter().map(Trit::from_bool).collect(),
-            };
+            let test = fbt_fault::BroadsideTest::new(s1, v1, v2);
+            let cube = TestCube::from(&test);
             tfm.load_cube(&cube);
             tfm.forward();
             for f in &faults {

@@ -20,20 +20,17 @@
 //! * [`tpdf`] — the five-sub-procedure pipeline for transition path delay
 //!   faults: transition-fault test generation, preprocessing, fault
 //!   simulation, dynamic-compaction heuristic, and the complete
-//!   branch-and-bound (§2.3, Figs. 2.2 / 2.3);
-//! * [`sat_backend`] — a complete SAT-based generator over `fbt-sat`'s
-//!   time-frame-expansion encoding, used as the pipeline's fallback for
-//!   aborted faults and as the source of UNSAT *untestability proofs*.
+//!   branch-and-bound (§2.3, Figs. 2.2 / 2.3), followed by a fallback to
+//!   `fbt-sat`'s complete time-frame-expansion search for aborted faults,
+//!   the source of UNSAT *untestability proofs*.
 
 pub mod frames;
 pub mod implic;
 pub mod necessary;
 pub mod podem;
-pub mod sat_backend;
 mod test_cube;
 pub mod tpdf;
 
 pub use frames::{var_of, Frame, TwoFrame};
 pub use podem::{AtpgOutcome, Podem, PodemConfig};
-pub use sat_backend::{SatBackend, SatBackendStats};
 pub use test_cube::TestCube;

@@ -74,6 +74,18 @@ impl TestCube {
     }
 }
 
+/// The fully specified cube of a broadside test.
+impl From<&BroadsideTest> for TestCube {
+    fn from(t: &BroadsideTest) -> Self {
+        let cube = |b: &Bits| -> Vec<Trit> { b.iter().map(Trit::from_bool).collect() };
+        TestCube {
+            s1: cube(&t.scan_in),
+            v1: cube(&t.v1),
+            v2: cube(&t.v2),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

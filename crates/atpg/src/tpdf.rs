@@ -11,12 +11,12 @@ use fbt_fault::{
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::{GateKind, Netlist};
+use fbt_sat::DetectionVerdict;
 use fbt_sim::Trit;
 
 use crate::frames::{var_parts, FaultStatus, Frame, TwoFrame};
 use crate::necessary::{tpdf_analysis, Analysis, VarAssign};
 use crate::podem::{AtpgOutcome, Podem, PodemConfig};
-use crate::sat_backend::SatBackend;
 use crate::TestCube;
 
 /// Which sub-procedure decided a fault.
@@ -307,12 +307,7 @@ pub fn run_pipeline(
             }
             // Some test in this word detects every transition fault.
             let lane = all.trailing_zeros() as usize;
-            let test = &tf_tests[w * 64 + lane];
-            let cube = TestCube {
-                s1: test.scan_in.iter().map(Trit::from_bool).collect(),
-                v1: test.v1.iter().map(Trit::from_bool).collect(),
-                v2: test.v2.iter().map(Trit::from_bool).collect(),
-            };
+            let cube = TestCube::from(&tf_tests[w * 64 + lane]);
             statuses[i] = Some(TpdfStatus::Detected(SubProcedure::FaultSim, cube));
             det_fsim += 1;
             break;
@@ -382,23 +377,22 @@ pub fn run_pipeline(
     // the branch-and-bound aborted on. Every verdict is definite — a model
     // becomes a test, UNSAT is an untestability proof.
     let t0 = Instant::now();
-    let mut sat = SatBackend::new(net);
     let mut det_sat = 0usize;
     let mut undet_sat = 0usize;
     for (i, f) in faults.iter().enumerate() {
         if !matches!(statuses[i], Some(TpdfStatus::Aborted)) {
             continue;
         }
-        statuses[i] = Some(match sat.generate_tpdf(f) {
-            AtpgOutcome::Test(cube) => {
+        statuses[i] = Some(match fbt_sat::solve_tpdf(net, f, None).0 {
+            DetectionVerdict::Test(t) => {
                 det_sat += 1;
-                TpdfStatus::Detected(SubProcedure::SatSolver, cube)
+                TpdfStatus::Detected(SubProcedure::SatSolver, TestCube::from(&t))
             }
-            AtpgOutcome::Untestable => {
+            DetectionVerdict::Untestable => {
                 undet_sat += 1;
                 TpdfStatus::Undetectable(SubProcedure::SatSolver)
             }
-            AtpgOutcome::Aborted => TpdfStatus::Aborted,
+            DetectionVerdict::Unknown => TpdfStatus::Aborted,
         });
     }
     stats.detected.insert(SubProcedure::SatSolver, det_sat);

@@ -137,6 +137,11 @@ mod tests {
         let sc = ScanChains::paper_config(50); // shorter than min_len
         assert_eq!(sc.num_chains(), 1);
         assert_eq!(sc.longest(), 50);
+        // The longest chain is Table 4.3's `Lsc`.
+        let lsc = |n_ff| ScanChains::paper_config(n_ff).longest();
+        assert_eq!(lsc(0), 0);
+        assert_eq!(lsc(1164), 117); // s38584
+        assert_eq!(lsc(8808), 881); // des_perf
     }
 
     #[test]

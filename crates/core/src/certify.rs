@@ -19,7 +19,8 @@ use std::collections::HashMap;
 
 use fbt_fault::BroadsideTest;
 use fbt_netlist::Netlist;
-use fbt_sat::{bounded_reach, replay_witness, Reachability, SolverStats};
+use fbt_sat::{bounded_reach, Reachability, SolverStats};
+use fbt_sim::seq::simulate_sequence;
 use fbt_sim::{Bits, Trit};
 
 /// Verdict for one test's scan-in state.
@@ -95,8 +96,9 @@ impl CertificationReport {
 
 /// Certify a single scan-in state.
 ///
-/// Searches depths `0..=k`; a witness is re-simulated before being returned,
-/// so a `Certified` verdict is trustworthy even if the encoding were wrong.
+/// Searches depths `0..=k`; a witness is replayed from reset on the
+/// compiled simulation kernel before being returned, so a `Certified`
+/// verdict is trustworthy even if the encoding were wrong.
 pub fn certify_state(
     net: &Netlist,
     state: &Bits,
@@ -107,9 +109,10 @@ pub fn certify_state(
     let (reach, stats) = bounded_reach(net, state, k, pi_cube, conflict_limit);
     let cert = match reach {
         Reachability::Reachable { pis } => {
+            let replay = simulate_sequence(net, &Bits::zeros(net.num_dffs()), &pis);
             assert_eq!(
-                &replay_witness(net, &pis),
-                state,
+                replay.states.last(),
+                Some(state),
                 "SAT witness failed to replay; encoding bug"
             );
             TestCertificate::Certified { pis }
@@ -160,7 +163,6 @@ mod tests {
     use super::*;
     use fbt_bist::{cube, Tpg, TpgSpec};
     use fbt_netlist::s27;
-    use fbt_sim::seq::simulate_sequence;
 
     use crate::extract::functional_tests;
 

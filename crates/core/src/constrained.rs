@@ -166,51 +166,7 @@ pub fn generate_constrained_watched(
     cfg: &FunctionalBistConfig,
     progress: &Progress,
 ) -> ConstrainedOutcome {
-    let rule = SwaRule { bound: swafunc };
-    let zero = Bits::zeros(net.num_dffs());
-    run(
-        net,
-        swafunc,
-        cfg,
-        &rule,
-        std::slice::from_ref(&zero),
-        progress,
-    )
-}
-
-/// Like [`generate_constrained`], but round-robins sequence attempts over a
-/// set of *reachable* initial states (§4.4: "several different reachable
-/// states can be used as initial states if the amount of required memory for
-/// storing these states is not a concern").
-///
-/// # Panics
-///
-/// Panics on invalid configurations, an empty `initial_states` slice, or a
-/// state-width mismatch. Reachability of the supplied states is the
-/// caller's responsibility — an unreachable state would silently break the
-/// functional-broadside guarantee.
-pub fn generate_constrained_from(
-    net: &Netlist,
-    swafunc: f64,
-    cfg: &FunctionalBistConfig,
-    initial_states: &[Bits],
-) -> ConstrainedOutcome {
-    assert!(
-        !initial_states.is_empty(),
-        "need at least one initial state"
-    );
-    for s in initial_states {
-        assert_eq!(s.len(), net.num_dffs(), "initial state width mismatch");
-    }
-    let rule = SwaRule { bound: swafunc };
-    run(
-        net,
-        swafunc,
-        cfg,
-        &rule,
-        initial_states,
-        &Progress::default(),
-    )
+    run(net, swafunc, cfg, &SwaRule { bound: swafunc }, progress)
 }
 
 /// Run the constrained method with the signal-transition-pattern rule of
@@ -228,23 +184,16 @@ pub fn generate_constrained_with_library(
     library: &StpLibrary,
     cfg: &FunctionalBistConfig,
 ) -> ConstrainedOutcome {
-    let zero = Bits::zeros(net.num_dffs());
-    run(
-        net,
-        swafunc,
-        cfg,
-        library,
-        std::slice::from_ref(&zero),
-        &Progress::default(),
-    )
+    run(net, swafunc, cfg, library, &Progress::default())
 }
 
+/// The constrained construction, every sequence starting from the all-0
+/// reset state.
 fn run<P: AdmissibilityPolicy + ?Sized>(
     net: &Netlist,
     swafunc: f64,
     cfg: &FunctionalBistConfig,
     policy: &P,
-    initial_states: &[Bits],
     progress: &Progress,
 ) -> ConstrainedOutcome {
     let t0 = Instant::now();
@@ -255,7 +204,7 @@ fn run<P: AdmissibilityPolicy + ?Sized>(
     let run = engine.construct(
         policy,
         &StateOverlay::Identity,
-        initial_states,
+        &Bits::zeros(net.num_dffs()),
         &mut rng,
         &mut detected,
         &ConstructOptions {
@@ -398,44 +347,6 @@ mod tests {
         assert_eq!(out.nmulti(), out.sequences.len());
         let total_cycles: usize = out.sequences.iter().map(|s| s.total_len()).sum();
         assert_eq!(out.tests_applied, total_cycles / 2);
-    }
-
-    #[test]
-    fn multiple_initial_states_round_robin() {
-        let net = s27();
-        let cfg = FunctionalBistConfig::smoke();
-        // Derive a second reachable state by simulating two cycles from 0.
-        let pis = vec![
-            fbt_sim::Bits::from_str01("1010"),
-            fbt_sim::Bits::from_str01("0101"),
-        ];
-        let traj = fbt_sim::seq::simulate_sequence(&net, &fbt_sim::Bits::zeros(3), &pis);
-        let inits = vec![fbt_sim::Bits::zeros(3), traj.states[2].clone()];
-        let out = generate_constrained_from(&net, 1.0, &cfg, &inits);
-        assert!(out.peak_swa <= 1.0);
-        // Every sequence's initial state is one of the provided ones.
-        for seq in &out.sequences {
-            assert!(inits.contains(&seq.initial_state));
-        }
-        // Replay agrees.
-        let tests = replay_tests(&net, &out, &cfg);
-        assert_eq!(tests.len(), out.tests_applied);
-        let mut detected = vec![false; out.faults.len()];
-        let mut fsim = PackedParallelSim::new(&net);
-        fsim.simulate(
-            TestSet::Broadside(&tests),
-            &out.faults,
-            &mut detected,
-            &FaultSimOptions::new(),
-        );
-        assert_eq!(detected, out.detected);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one initial state")]
-    fn empty_initial_states_rejected() {
-        let net = s27();
-        let _ = generate_constrained_from(&net, 1.0, &FunctionalBistConfig::smoke(), &[]);
     }
 
     #[test]

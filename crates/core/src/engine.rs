@@ -413,23 +413,20 @@ impl<'n> GenerationEngine<'n> {
     /// outcome is bit-identical to the serial loop for every batch size and
     /// thread count.
     ///
+    /// Every sequence starts from the reachable state `start`.
+    ///
     /// # Panics
     ///
-    /// Panics if `initial_states` is empty or `detected` does not match the
-    /// fault list length.
+    /// Panics if `detected` does not match the fault list length.
     pub fn construct<P: AdmissibilityPolicy + ?Sized>(
         &mut self,
         policy: &P,
         overlay: &StateOverlay,
-        initial_states: &[Bits],
+        start: &Bits,
         rng: &mut Rng,
         detected: &mut [bool],
         opts: &ConstructOptions,
     ) -> ConstructionRun {
-        assert!(
-            !initial_states.is_empty(),
-            "need at least one initial state"
-        );
         assert_eq!(
             detected.len(),
             self.faults.len(),
@@ -453,18 +450,14 @@ impl<'n> GenerationEngine<'n> {
         let mut peak_swa = 0.0f64;
         let mut attempt_failures = 0usize;
         let mut seeds_tried = 0usize;
-        let mut attempts = 0usize;
 
         'run: while attempt_failures < opts.q_limit && seeds_tried < cfg.max_seeds {
             if progress.is_cancelled() {
                 break 'run;
             }
-            // Construct one multi-segment sequence, starting from a
-            // reachable initial state (round-robin over the provided set).
-            let init = &initial_states[attempts % initial_states.len()];
-            attempts += 1;
-            let mut cur_state = init.clone();
-            let mut seq = MultiSegmentSequence::new(init.clone());
+            // Construct one multi-segment sequence from the start state.
+            let mut cur_state = start.clone();
+            let mut seq = MultiSegmentSequence::new(start.clone());
             let mut seed_failures = 0usize;
             'segment: while seed_failures < opts.r_limit && seeds_tried < cfg.max_seeds {
                 // Cancellation is honored at round granularity: the batch in
@@ -847,7 +840,7 @@ mod tests {
         let run = engine.construct(
             &SwaRule { bound: 1.0 },
             &StateOverlay::Identity,
-            std::slice::from_ref(&zero),
+            &zero,
             &mut rng,
             &mut detected,
             &ConstructOptions {
@@ -884,7 +877,7 @@ mod tests {
         let run = engine.construct(
             &Unbounded,
             &StateOverlay::Identity,
-            std::slice::from_ref(&zero),
+            &zero,
             &mut rng,
             &mut detected,
             &ConstructOptions {

@@ -2,6 +2,7 @@
 
 use fbt_bist::area::{circuit_area, BistHardware, CellLibrary};
 use fbt_bist::cube;
+use fbt_bist::scan::ScanChains;
 use fbt_netlist::Netlist;
 
 use crate::constrained::ConstrainedOutcome;
@@ -34,16 +35,6 @@ pub fn circuit_params(net: &Netlist) -> CircuitParamsRow {
         nsp: cube::specified_count(&c),
         nsv: net.num_dffs(),
     }
-}
-
-/// The §4.6 scan configuration: at most 10 scan chains, each of length at
-/// least 100, approximately equal; returns the longest chain length `Lsc`.
-pub fn scan_chain_length(nsv: usize) -> usize {
-    if nsv == 0 {
-        return 0;
-    }
-    let chains = (nsv / 100).clamp(1, 10);
-    nsv.div_ceil(chains)
 }
 
 /// A row of Table 4.3: constrained built-in generation results.
@@ -92,7 +83,7 @@ pub fn run_constrained_experiment(
     let bound = swafunc(target, driver, cfg);
     let out = generate_constrained(target, bound, cfg);
     let params = circuit_params(target);
-    let lsc = scan_chain_length(params.nsv);
+    let lsc = ScanChains::paper_config(params.nsv).longest();
     let hw = BistHardware::for_program(
         cfg.lfsr_width as usize,
         cfg.m,
@@ -168,7 +159,7 @@ pub fn run_holding_experiment(
     let lib = CellLibrary::generic_018um();
     let out = improve_with_holding(target, base.swafunc, cfg, base);
     let params = circuit_params(target);
-    let lsc = scan_chain_length(params.nsv);
+    let lsc = ScanChains::paper_config(params.nsv).longest();
     let all_seqs: Vec<&crate::MultiSegmentSequence> =
         out.sequences_per_set.iter().flatten().collect();
     let nmulti = all_seqs.len();
@@ -213,21 +204,6 @@ pub fn run_holding_experiment(
 mod tests {
     use super::*;
     use fbt_netlist::s27;
-
-    #[test]
-    fn scan_chain_rules() {
-        assert_eq!(scan_chain_length(0), 0);
-        assert_eq!(scan_chain_length(50), 50); // one chain, shorter than 100
-        assert_eq!(scan_chain_length(229), 115); // spi: 2 chains of ~115
-        assert_eq!(scan_chain_length(1728), 173); // s35932: 10 chains (Table 4.3)
-        assert_eq!(scan_chain_length(8808), 881); // des_perf (Table 4.3)
-    }
-
-    #[test]
-    fn s38584_lsc_matches_paper() {
-        // Table 4.3 reports Lsc = 117 for s38584 (1164 state variables).
-        assert_eq!(scan_chain_length(1164), 117);
-    }
 
     #[test]
     fn params_row_for_s27() {

@@ -208,7 +208,7 @@ impl<'n> HoldingSearch<'n> {
         let run = self.engine.construct(
             &self.rule,
             &overlay,
-            std::slice::from_ref(&zero),
+            &zero,
             rng,
             detected,
             &ConstructOptions {

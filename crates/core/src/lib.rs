@@ -59,8 +59,8 @@ pub mod unconstrained;
 pub use certify::{certify_state, certify_tests, CertificationReport, TestCertificate};
 pub use config::FunctionalBistConfig;
 pub use constrained::{
-    generate_constrained, generate_constrained_from, generate_constrained_watched,
-    generate_constrained_with_library, ConstrainedOutcome,
+    generate_constrained, generate_constrained_watched, generate_constrained_with_library,
+    ConstrainedOutcome,
 };
 pub use driver::{swafunc, DrivingBlock};
 pub use engine::{GenerationEngine, OwnedTests, SeedSource, StateOverlay, TpgSeedSource};

@@ -142,7 +142,7 @@ pub fn generate_unconstrained_watched(
     let run = engine.construct(
         &Unbounded,
         &StateOverlay::Identity,
-        std::slice::from_ref(&zero),
+        &zero,
         &mut rng,
         &mut detected,
         &ConstructOptions {

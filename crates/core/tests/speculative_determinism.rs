@@ -4,8 +4,8 @@
 //! Chapter-4 loops as they existed before speculation was introduced (one
 //! seed drawn and evaluated per iteration, no batching). The suite asserts
 //! that `generate_unconstrained` / `generate_constrained` /
-//! `generate_constrained_from` / `generate_constrained_with_library`
-//! produce byte-identical outcomes for the same `master_seed` across
+//! `generate_constrained_with_library` produce byte-identical outcomes for
+//! the same `master_seed` across
 //! `threads ∈ {1, 2, 8}` and `batch ∈ {1, 4, 16}`, on s27 plus a
 //! synthesized circuit — i.e. the speculative search is bit-identical to
 //! the serial loop and independent of thread count.
@@ -19,9 +19,8 @@ use fbt_core::driver::{functional_sequences, DrivingBlock};
 use fbt_core::extract::functional_tests;
 use fbt_core::stp::StpLibrary;
 use fbt_core::{
-    generate_constrained, generate_constrained_from, generate_constrained_with_library,
-    generate_unconstrained, AdmissibilityPolicy, FunctionalBistConfig, SearchOptions, SeedSource,
-    TpgSeedSource,
+    generate_constrained, generate_constrained_with_library, generate_unconstrained,
+    AdmissibilityPolicy, FunctionalBistConfig, SearchOptions, SeedSource, TpgSeedSource,
 };
 use fbt_fault::{
     all_transition_faults, collapse, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestSet,
@@ -180,12 +179,12 @@ fn stp_admissible_prefix(lib: &StpLibrary, net: &Netlist, start: &Bits, pis: &[B
 type RefSeqs = Vec<(Bits, Vec<(u64, usize)>)>;
 
 /// The pre-speculation serial constrained loop (Fig. 4.9) under the
-/// admissibility rule `prefix(start, pis)`.
+/// admissibility rule `prefix(start, pis)`, every sequence starting from
+/// the all-0 reset state.
 fn reference_constrained(
     net: &Netlist,
     prefix: impl Fn(&Bits, &[Bits]) -> usize,
     cfg: &FunctionalBistConfig,
-    initial_states: &[Bits],
 ) -> (RefSeqs, Vec<bool>, usize, f64) {
     let spec = TpgSpec {
         lfsr_width: cfg.lfsr_width,
@@ -196,18 +195,16 @@ fn reference_constrained(
     let mut detected = vec![false; faults.len()];
     let mut fsim = PackedParallelSim::new(net);
     let mut rng = Rng::new(cfg.master_seed);
+    let zero = Bits::zeros(net.num_dffs());
 
     let mut sequences: RefSeqs = Vec::new();
     let mut tests_applied = 0usize;
     let mut peak_swa = 0.0f64;
     let mut attempt_failures = 0usize;
     let mut seeds_tried = 0usize;
-    let mut attempts = 0usize;
 
     while attempt_failures < cfg.attempt_failure_limit && seeds_tried < cfg.max_seeds {
-        let init = &initial_states[attempts % initial_states.len()];
-        attempts += 1;
-        let mut cur_state = init.clone();
+        let mut cur_state = zero.clone();
         let mut segments: Vec<(u64, usize)> = Vec::new();
         let mut seed_failures = 0usize;
         while seed_failures < cfg.segment_failure_limit && seeds_tried < cfg.max_seeds {
@@ -244,7 +241,7 @@ fn reference_constrained(
             attempt_failures += 1;
         } else {
             attempt_failures = 0;
-            sequences.push((init.clone(), segments));
+            sequences.push((zero.clone(), segments));
         }
     }
     (sequences, detected, tests_applied, peak_swa)
@@ -293,47 +290,14 @@ fn constrained_is_bit_identical_to_the_serial_reference() {
     for net in circuits() {
         // A bound tight enough to force truncation and rejections.
         let bound = 0.45;
-        let zero = Bits::zeros(net.num_dffs());
         let (seqs, detected, tests_applied, peak_swa) = reference_constrained(
             &net,
             |start, pis| admissible_prefix(&net, bound, start, pis),
             &FunctionalBistConfig::smoke(),
-            std::slice::from_ref(&zero),
         );
         for batch in BATCHES {
             for threads in THREADS {
                 let out = generate_constrained(&net, bound, &cfg_with(batch, threads));
-                let label = format!("{} batch={batch} threads={threads}", net.name());
-                assert_eq!(ref_seqs(&out), seqs, "{label}");
-                assert_eq!(out.detected, detected, "{label}");
-                assert_eq!(out.tests_applied, tests_applied, "{label}");
-                assert_eq!(out.peak_swa, peak_swa, "{label}");
-            }
-        }
-    }
-}
-
-#[test]
-fn constrained_from_is_bit_identical_to_the_serial_reference() {
-    for net in circuits() {
-        // Derive a second reachable state by simulating two cycles from 0.
-        let mut rng = Rng::new(7);
-        let pis: Vec<Bits> = (0..2)
-            .map(|_| (0..net.num_inputs()).map(|_| rng.bit()).collect())
-            .collect();
-        let zero = Bits::zeros(net.num_dffs());
-        let traj = simulate_sequence(&net, &zero, &pis);
-        let inits = vec![zero, traj.states[2].clone()];
-        let bound = 0.6;
-        let (seqs, detected, tests_applied, peak_swa) = reference_constrained(
-            &net,
-            |start, pis| admissible_prefix(&net, bound, start, pis),
-            &FunctionalBistConfig::smoke(),
-            &inits,
-        );
-        for batch in BATCHES {
-            for threads in THREADS {
-                let out = generate_constrained_from(&net, bound, &cfg_with(batch, threads), &inits);
                 let label = format!("{} batch={batch} threads={threads}", net.name());
                 assert_eq!(ref_seqs(&out), seqs, "{label}");
                 assert_eq!(out.detected, detected, "{label}");
@@ -389,12 +353,10 @@ fn stp_constrained_is_bit_identical_to_the_serial_interpreter_reference() {
     for net in circuits() {
         let (lib, bound) = sparse_library(&net);
         let cfg = FunctionalBistConfig::smoke();
-        let zero = Bits::zeros(net.num_dffs());
         let (seqs, detected, tests_applied, peak_swa) = reference_constrained(
             &net,
             |start, pis| stp_admissible_prefix(&lib, &net, start, pis),
             &cfg,
-            std::slice::from_ref(&zero),
         );
         assert!(
             seqs.iter()

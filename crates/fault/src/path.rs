@@ -147,15 +147,19 @@ impl TransitionPathDelayFault {
 /// have been collected (the paper enumerates *all* paths only for small
 /// circuits — Table 2.1).
 pub fn enumerate_paths(net: &Netlist, max_paths: usize) -> Vec<Path> {
-    let mut paths = Vec::new();
-    let capture = capture_map(net);
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &launch in net.inputs().iter().chain(net.dffs()) {
-        if paths.len() >= max_paths {
-            break;
-        }
-        dfs(net, launch, &capture, &mut stack, &mut paths, max_paths);
-    }
+    walk(net, 1, max_paths)
+}
+
+/// Enumerate paths of length at least `min_len`, longest-biased, up to
+/// `max_paths`.
+///
+/// Used for the "consider faults from the longest paths to the shorter ones"
+/// strategy of Table 2.2: the walk follows only extensions that can still
+/// reach total length `min_len`. The returned paths are sorted by
+/// decreasing length.
+pub fn enumerate_paths_at_least(net: &Netlist, min_len: usize, max_paths: usize) -> Vec<Path> {
+    let mut paths = walk(net, min_len, max_paths);
+    paths.sort_by_key(|p| std::cmp::Reverse(p.len()));
     paths
 }
 
@@ -171,57 +175,16 @@ fn capture_map(net: &Netlist) -> Vec<bool> {
     cap
 }
 
-fn dfs(
-    net: &Netlist,
-    node: NodeId,
-    capture: &[bool],
-    stack: &mut Vec<NodeId>,
-    paths: &mut Vec<Path>,
-    max_paths: usize,
-) {
-    if paths.len() >= max_paths {
-        return;
-    }
-    stack.push(node);
-    if capture[node.index()] {
-        paths.push(Path {
-            nodes: stack.clone(),
-        });
-    }
-    for &fo in net.node(node).fanouts() {
-        if net.node(fo).kind().is_source() {
-            continue; // crossing into the next time frame ends the path
-        }
-        dfs(net, fo, capture, stack, paths, max_paths);
-    }
-    stack.pop();
-}
-
-/// Enumerate paths of length at least `min_len`, longest-biased, up to
-/// `max_paths`.
-///
-/// Used for the "consider faults from the longest paths to the shorter ones"
-/// strategy of Table 2.2: compute, for every node, the longest remaining
-/// unit-delay distance to a capture point, then DFS only along extensions
-/// that can still reach total length `min_len`. The returned paths are sorted
-/// by decreasing length.
-pub fn enumerate_paths_at_least(net: &Netlist, min_len: usize, max_paths: usize) -> Vec<Path> {
+/// The paths of at least `min_len` nodes, launch points in PI-then-FF
+/// order, each walked depth first, stopping after `max_paths`. Every node
+/// gets its longest unit-delay distance to a capture point (in nodes,
+/// counting itself, 0 if none is reachable), so the walk skips extensions
+/// that cannot reach `min_len` any more; at `min_len = 1` it skips only
+/// launch points that reach no capture point.
+fn walk(net: &Netlist, min_len: usize, max_paths: usize) -> Vec<Path> {
     let capture = capture_map(net);
-    // Longest suffix (in nodes, counting the node itself) from each node to a
-    // capture point, over the combinational DAG.
-    let mut suffix = vec![0usize; net.num_nodes()];
-    for &id in net.eval_order().iter().rev() {
-        let mut best = if capture[id.index()] { 1 } else { 0 };
-        for &fo in net.node(id).fanouts() {
-            if !net.node(fo).kind().is_source() && suffix[fo.index()] > 0 {
-                best = best.max(1 + suffix[fo.index()]);
-            }
-        }
-        suffix[id.index()] = best;
-    }
-    // Sources too.
-    let source_suffix = |id: NodeId| -> usize {
-        let mut best = if capture[id.index()] { 1 } else { 0 };
+    let longest = |suffix: &[usize], id: NodeId| -> usize {
+        let mut best = usize::from(capture[id.index()]);
         for &fo in net.node(id).fanouts() {
             if !net.node(fo).kind().is_source() && suffix[fo.index()] > 0 {
                 best = best.max(1 + suffix[fo.index()]);
@@ -229,6 +192,10 @@ pub fn enumerate_paths_at_least(net: &Netlist, min_len: usize, max_paths: usize)
         }
         best
     };
+    let mut suffix = vec![0usize; net.num_nodes()];
+    for &id in net.eval_order().iter().rev() {
+        suffix[id.index()] = longest(&suffix, id);
+    }
 
     let mut paths = Vec::new();
     let mut stack = Vec::new();
@@ -236,19 +203,18 @@ pub fn enumerate_paths_at_least(net: &Netlist, min_len: usize, max_paths: usize)
         if paths.len() >= max_paths {
             break;
         }
-        if source_suffix(launch) < min_len {
+        if longest(&suffix, launch) < min_len {
             continue;
         }
-        dfs_bounded(
+        dfs(
             net, launch, &capture, &suffix, min_len, &mut stack, &mut paths, max_paths,
         );
     }
-    paths.sort_by_key(|p| std::cmp::Reverse(p.len()));
     paths
 }
 
 #[allow(clippy::too_many_arguments)]
-fn dfs_bounded(
+fn dfs(
     net: &Netlist,
     node: NodeId,
     capture: &[bool],
@@ -269,12 +235,12 @@ fn dfs_bounded(
     }
     for &fo in net.node(node).fanouts() {
         if net.node(fo).kind().is_source() {
-            continue;
+            continue; // crossing into the next time frame ends the path
         }
         if stack.len() + suffix[fo.index()] < min_len {
             continue; // cannot reach the length bound any more
         }
-        dfs_bounded(net, fo, capture, suffix, min_len, stack, paths, max_paths);
+        dfs(net, fo, capture, suffix, min_len, stack, paths, max_paths);
     }
     stack.pop();
 }

@@ -50,6 +50,16 @@ impl fmt::Display for Severity {
     }
 }
 
+/// The shortlex sort key of a name or location (length first, then bytes):
+/// the order in which a capped rule picks the findings it shows, so the
+/// choice depends on the circuit and not on the order its nodes were
+/// ingested in. Catalog gates are named `g<n>` in creation order, which
+/// shortlex keeps in node order (plain byte order would put `g334` before
+/// `g38`).
+pub(crate) fn shortlex(s: &str) -> (usize, &str) {
+    (s.len(), s)
+}
+
 /// One finding of one rule at one place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {

@@ -12,9 +12,9 @@
 use std::collections::HashMap;
 
 use fbt_netlist::{GateKind, Netlist, NodeId};
-use fbt_sat::{CnfFormula, Solver};
+use fbt_sat::{CnfFormula, Solver, Var};
 
-use crate::diag::{Diagnostic, LintReport, Severity};
+use crate::diag::{shortlex, Diagnostic, LintReport, Severity};
 
 /// Cap on reported duplicate pairs (each costs one SAT solve).
 const PAIR_CAP: usize = 25;
@@ -58,29 +58,41 @@ pub fn candidate_pairs(net: &Netlist) -> Vec<(usize, usize)> {
 }
 
 /// Prove two nodes equivalent with an XOR miter over one combinational
-/// frame (sources free). `true` means UNSAT — no assignment distinguishes
-/// them.
+/// frame (sources free). Only the union of the two fanin cones is encoded:
+/// nothing outside it can tell the nodes apart. `true` means UNSAT — no
+/// assignment distinguishes them.
 pub fn confirm_equivalent(net: &Netlist, a: usize, b: usize) -> bool {
-    let mut cnf = CnfFormula::new();
-    let vars: Vec<_> = (0..net.num_nodes()).map(|_| cnf.new_var()).collect();
-    for &g in net.eval_order() {
-        let node = net.node(g);
-        let ins: Vec<_> = node
-            .fanins()
-            .iter()
-            .map(|f| vars[f.index()].pos())
-            .collect();
-        cnf.gate(node.kind(), vars[g.index()].pos(), &ins);
+    let mut in_cone = net.fanin_cone(NodeId(a as u32));
+    for (x, y) in in_cone.iter_mut().zip(net.fanin_cone(NodeId(b as u32))) {
+        *x |= y;
     }
+    let mut cnf = CnfFormula::new();
+    // Slots outside the cones keep a placeholder the encoder never reads.
+    let mut lits = vec![Var(0).pos(); net.num_nodes()];
+    for id in net.node_ids() {
+        if in_cone[id.index()] && net.node(id).kind().is_source() {
+            lits[id.index()] = cnf.new_var().pos();
+        }
+    }
+    let gates: Vec<NodeId> = net
+        .eval_order()
+        .iter()
+        .copied()
+        .filter(|g| in_cone[g.index()])
+        .collect();
+    cnf.encode_gates(net, &gates, &mut lits);
     let m = cnf.new_var();
-    cnf.xor2_gate(m.pos(), vars[a].pos(), vars[b].pos());
+    cnf.xor2_gate(m.pos(), lits[a], lits[b]);
     cnf.add_clause(&[m.pos()]);
     Solver::from_cnf(&cnf).solve().is_unsat()
 }
 
-/// `dup-cone`: report SAT-confirmed structurally duplicate gates.
+/// `dup-cone`: report SAT-confirmed structurally duplicate gates. Only the
+/// first 25 pairs, in shortlex order of the duplicate's name, are proved
+/// and shown.
 pub fn run(net: &Netlist, report: &mut LintReport) {
-    let pairs = candidate_pairs(net);
+    let mut pairs = candidate_pairs(net);
+    pairs.sort_by_key(|&(_, dup)| shortlex(net.node_name(NodeId(dup as u32))));
     let extra = pairs.len().saturating_sub(PAIR_CAP);
     for &(kept, dup) in pairs.iter().take(PAIR_CAP) {
         if !confirm_equivalent(net, kept, dup) {

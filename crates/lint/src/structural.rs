@@ -19,14 +19,21 @@
 use fbt_netlist::{GateKind, Netlist};
 use fbt_sim::{tv, Trit};
 
-use crate::diag::{Diagnostic, LintReport, Severity};
+use crate::diag::{shortlex, Diagnostic, LintReport, Severity};
 use crate::graph::RawCircuit;
 
 /// Cap on per-rule diagnostics; beyond it one aggregate note is emitted so
 /// reports (and golden files) stay bounded on pathological inputs.
 const PER_RULE_CAP: usize = 25;
 
-fn push_capped(report: &mut LintReport, circuit: &str, rule: &'static str, diags: Vec<Diagnostic>) {
+/// Report the first [`PER_RULE_CAP`] findings in shortlex location order.
+fn push_capped(
+    report: &mut LintReport,
+    circuit: &str,
+    rule: &'static str,
+    mut diags: Vec<Diagnostic>,
+) {
+    diags.sort_by(|a, b| shortlex(&a.location).cmp(&shortlex(&b.location)));
     let extra = diags.len().saturating_sub(PER_RULE_CAP);
     for d in diags.into_iter().take(PER_RULE_CAP) {
         report.push(d);

@@ -9,11 +9,11 @@
 //! 2. **capture** — under the second pattern, the corresponding stuck-at
 //!    fault on `g` is observed at a primary output or a flip-flop D input.
 //!
-//! [`BroadsideEncoding`] unrolls the circuit over two stitched frames
-//! (launch = frame 0, capture = frame 1 with the state aliased from frame
-//! 0's next-state literals — the broadside property `s2 = next(s1, v1)` is
-//! structural, not clausal). [`BroadsideEncoding::require_detection`] then
-//! adds, per fault:
+//! [`solve_transition_fault`] and [`solve_tpdf`] are the two entry points.
+//! Both unroll the circuit over two stitched frames (launch = frame 0,
+//! capture = frame 1 with the state aliased from frame 0's next-state
+//! literals — the broadside property `s2 = next(s1, v1)` is structural, not
+//! clausal) and then add, per required fault:
 //!
 //! * a unit clause pinning the frame-0 value of `g` to the initial value;
 //! * a *faulty copy* of frame 1 restricted to `g`'s fanout cone, with `g`
@@ -28,7 +28,6 @@
 //! transition path delay fault criterion of paper §2.2.
 
 use fbt_netlist::Netlist;
-use fbt_sim::{Bits, Trit};
 
 use fbt_fault::{BroadsideTest, TransitionFault, TransitionPathDelayFault};
 
@@ -48,19 +47,8 @@ pub enum DetectionVerdict {
     Unknown,
 }
 
-impl DetectionVerdict {
-    /// The generated test, if any.
-    pub fn test(&self) -> Option<&BroadsideTest> {
-        match self {
-            DetectionVerdict::Test(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
 /// A two-frame broadside encoding with accumulating detection requirements.
-#[derive(Debug, Clone)]
-pub struct BroadsideEncoding<'a> {
+struct BroadsideEncoding<'a> {
     net: &'a Netlist,
     unroller: Unroller<'a>,
     /// Observation points: PO drivers and flip-flop D-input drivers.
@@ -69,7 +57,7 @@ pub struct BroadsideEncoding<'a> {
 
 impl<'a> BroadsideEncoding<'a> {
     /// Encode two stitched frames over a free scan-in state.
-    pub fn new(net: &'a Netlist) -> Self {
+    fn new(net: &'a Netlist) -> Self {
         let mut unroller = Unroller::new(net);
         unroller.push_frame(FrameState::Free);
         unroller.push_frame(FrameState::FromPrevious);
@@ -87,23 +75,11 @@ impl<'a> BroadsideEncoding<'a> {
         }
     }
 
-    /// Pin the scan-in state `s1`.
-    pub fn fix_scan_in(&mut self, s1: &Bits) {
-        self.unroller.assert_state(0, s1);
-    }
-
-    /// Constrain both patterns' primary inputs to a cube (for generating
-    /// tests applicable under functional PI constraints, paper §4.2).
-    pub fn constrain_pis(&mut self, cube: &[Trit]) {
-        self.unroller.constrain_pis(0, cube);
-        self.unroller.constrain_pis(1, cube);
-    }
-
     /// Require that the encoded test detect `fault`.
     ///
     /// Calling this for several faults requires a *single* test detecting
     /// all of them — the building block of the TPDF criterion.
-    pub fn require_detection(&mut self, fault: &TransitionFault) {
+    fn require_detection(&mut self, fault: &TransitionFault) {
         let net = self.net;
         let g = fault.line;
         let init = fault.transition.initial_value();
@@ -112,22 +88,14 @@ impl<'a> BroadsideEncoding<'a> {
         let launch = self.unroller.lit(0, g);
         self.unroller.cnf_mut().add_clause(&[launch.xor_neg(!init)]);
 
-        // Faulty copy of frame 1 over g's fanout cone, g stuck at `init`.
+        // Faulty copy of frame 1 over g's fanout cone, g stuck at `init`;
+        // outside the cone it reads the fault-free capture frame.
         let cone = net.fanout_cone(g);
         debug_assert_eq!(cone[0], g, "fanout cone starts at its seed");
-        let mut faulty: Vec<Option<Lit>> = vec![None; net.num_nodes()];
-        faulty[g.index()] = Some(self.unroller.cnf_mut().constant(init));
-        for &c in &cone[1..] {
-            let node = net.node(c);
-            let ins: Vec<Lit> = node
-                .fanins()
-                .iter()
-                .map(|f| faulty[f.index()].unwrap_or_else(|| self.unroller.lit(1, *f)))
-                .collect();
-            let out = self.unroller.cnf_mut().new_var().pos();
-            self.unroller.cnf_mut().gate(node.kind(), out, &ins);
-            faulty[c.index()] = Some(out);
-        }
+        let mut faulty: Vec<Lit> = net.node_ids().map(|id| self.unroller.lit(1, id)).collect();
+        let cnf = self.unroller.cnf_mut();
+        faulty[g.index()] = cnf.constant(init);
+        cnf.encode_gates(net, &cone[1..], &mut faulty);
 
         // Observation: some observable cone node differs between the faulty
         // and fault-free capture frames. One-directional indicators suffice:
@@ -138,7 +106,7 @@ impl<'a> BroadsideEncoding<'a> {
                 continue;
             }
             let d = self.unroller.cnf_mut().new_var().pos();
-            let fv = faulty[c.index()].expect("cone node has a faulty literal");
+            let fv = faulty[c.index()];
             let gv = self.unroller.lit(1, c);
             self.unroller.cnf_mut().add_clause(&[!d, fv, gv]);
             self.unroller.cnf_mut().add_clause(&[!d, !fv, !gv]);
@@ -150,7 +118,7 @@ impl<'a> BroadsideEncoding<'a> {
 
     /// Require detection of a transition path delay fault: every transition
     /// fault along the path must be detected by the same test (paper §2.2).
-    pub fn require_tpdf_detection(&mut self, fault: &TransitionPathDelayFault) {
+    fn require_tpdf_detection(&mut self, fault: &TransitionPathDelayFault) {
         for tf in fault.transition_faults(self.net) {
             self.require_detection(&tf);
         }
@@ -159,7 +127,7 @@ impl<'a> BroadsideEncoding<'a> {
     /// Solve the accumulated encoding. `conflict_limit` bounds the search
     /// (`None` = run to completion); the returned stats come from this
     /// query's solver.
-    pub fn solve(&self, conflict_limit: Option<u64>) -> (DetectionVerdict, SolverStats) {
+    fn solve(&self, conflict_limit: Option<u64>) -> (DetectionVerdict, SolverStats) {
         let mut solver = Solver::from_cnf(self.unroller.cnf());
         let result = match conflict_limit {
             Some(limit) => solver.solve_limited(limit),
@@ -250,50 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn pi_constraints_restrict_generated_tests() {
-        let net = s27();
-        let fault = TransitionFault::new(net.find("G0").unwrap(), Transition::Rise);
-        // Pin PI 0 (G0) to 0 in both frames: the rising launch on G0 needs
-        // G0 = 0 in frame 0 (fine) but the fault effect needs G0 = 1 in
-        // frame 1 fault-free — contradicted by the cube, so untestable.
-        let cube = vec![Trit::Zero, Trit::X, Trit::X, Trit::X];
-        let mut enc = BroadsideEncoding::new(&net);
-        enc.constrain_pis(&cube);
-        enc.require_detection(&fault);
-        let (verdict, _) = enc.solve(None);
-        assert_eq!(verdict, DetectionVerdict::Untestable);
-        // Without the cube the fault is testable.
-        let (free, _) = solve_transition_fault(&net, &fault, None);
-        assert!(free.test().is_some());
-    }
-
-    #[test]
-    fn fixed_scan_in_state_is_honoured() {
-        let net = s27();
-        let fault = TransitionFault::new(net.find("G0").unwrap(), Transition::Rise);
-        let s1 = Bits::from_str01("101");
-        let mut enc = BroadsideEncoding::new(&net);
-        enc.fix_scan_in(&s1);
-        enc.require_detection(&fault);
-        let (verdict, _) = enc.solve(None);
-        if let DetectionVerdict::Test(t) = &verdict {
-            assert_eq!(t.scan_in, s1);
-            assert!(PackedParallelSim::new(&net).detects(t, &fault));
-        }
-    }
-
-    #[test]
     fn conflict_limit_yields_unknown_or_verdict() {
         let net = s27();
-        let fault = TransitionFault::new(net.find("G17").unwrap(), Transition::Fall);
-        let (limited, _) = solve_transition_fault(&net, &fault, Some(1));
-        // With one conflict allowed the query either finishes trivially or
-        // reports Unknown — never a wrong verdict.
-        if let DetectionVerdict::Test(t) = &limited {
-            assert!(PackedParallelSim::new(&net).detects(t, &fault));
+        let mut sim = PackedParallelSim::new(&net);
+        for fault in all_transition_faults(&net) {
+            let (limited, _) = solve_transition_fault(&net, &fault, Some(1));
+            let (full, _) = solve_transition_fault(&net, &fault, None);
+            assert_ne!(full, DetectionVerdict::Unknown);
+            // With one conflict allowed each query either finishes trivially
+            // or reports Unknown — never a wrong verdict.
+            match &limited {
+                DetectionVerdict::Test(t) => assert!(sim.detects(t, &fault), "{fault}"),
+                DetectionVerdict::Untestable => assert_eq!(full, limited, "{fault}"),
+                DetectionVerdict::Unknown => {}
+            }
         }
-        let (full, _) = solve_transition_fault(&net, &fault, None);
-        assert_ne!(full, DetectionVerdict::Unknown);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! encode every [`GateKind`] of the netlist crate as CNF constraints
 //! (`out ↔ KIND(ins)`). Multi-input XOR/XNOR gates are chained through
 //! auxiliary variables, so clause width stays bounded.
+//! [`CnfFormula::encode_gates`] is the one place a netlist's gates become
+//! clauses: time frames, miters, faulty cone copies and duplicate-cone
+//! proofs all go through it.
 
-use fbt_netlist::GateKind;
+use fbt_netlist::{GateKind, Netlist, NodeId};
 
 use crate::lit::{Lit, Var};
 
@@ -169,6 +172,28 @@ impl CnfFormula {
                 assert_eq!(ins.len(), 1, "BUFF takes one input");
                 self.equal(out, ins[0]);
             }
+        }
+    }
+
+    /// Encode `gates` of `net`, a topologically ordered list of
+    /// combinational nodes. Each gate reads its fanin literals from `lits`
+    /// (indexed by node; the caller fills the slots of sources and of any
+    /// node it wants to pin, such as a fault site) and gets one fresh output
+    /// variable, allocated in list order and written back into `lits`.
+    /// Slots that no listed gate reads are never touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed node is a source (see [`CnfFormula::gate`]).
+    pub fn encode_gates(&mut self, net: &Netlist, gates: &[NodeId], lits: &mut [Lit]) {
+        let mut ins: Vec<Lit> = Vec::new();
+        for &g in gates {
+            let node = net.node(g);
+            ins.clear();
+            ins.extend(node.fanins().iter().map(|f| lits[f.index()]));
+            let out = self.new_var().pos();
+            self.gate(node.kind(), out, &ins);
+            lits[g.index()] = out;
         }
     }
 }

@@ -13,19 +13,22 @@
 //!   with index tie-breaks, Luby restarts. Identical input yields identical
 //!   [`SolverStats`], a property the differential test suite asserts.
 //! * [`cnf`] / [`unroll`] — Tseitin encodings of netlist gates
-//!   ([`CnfFormula::gate`]) and time-frame expansion ([`Unroller`]): frames
-//!   are stitched by aliasing each flip-flop's present-state literal to its
-//!   D-driver's literal one frame earlier, and launch/capture/functional-
-//!   constraint conditions are layered as unit clauses.
+//!   ([`CnfFormula::encode_gates`], the one place a netlist becomes
+//!   clauses) and time-frame expansion ([`Unroller`]): frames are stitched
+//!   by aliasing each flip-flop's present-state literal to its D-driver's
+//!   literal one frame earlier, and launch/capture/functional-constraint
+//!   conditions are layered as unit clauses.
 //!
-//! On top sit the two query modules consumed elsewhere in the workspace:
+//! On top sit the query modules consumed elsewhere in the workspace:
 //!
 //! * [`broadside`] — two-frame transition-fault and transition-path-delay-
 //!   fault test generation with UNSAT untestability proofs (used by
-//!   `fbt-atpg`'s SAT backend);
+//!   `fbt-atpg`'s TPDF pipeline as its SAT fallback);
 //! * [`reach`] — bounded reachability of scan-in states from the all-0
 //!   reset under constrained primary inputs (used by `fbt-core`'s
-//!   functional-broadside certifier).
+//!   functional-broadside certifier);
+//! * [`miter`] — single-frame XOR-miter equivalence of two netlists (used
+//!   by `fbt-lint`'s certified autofixes).
 
 pub mod broadside;
 pub mod cnf;
@@ -35,10 +38,10 @@ pub mod reach;
 pub mod solver;
 pub mod unroll;
 
-pub use broadside::{solve_tpdf, solve_transition_fault, BroadsideEncoding, DetectionVerdict};
+pub use broadside::{solve_tpdf, solve_transition_fault, DetectionVerdict};
 pub use cnf::CnfFormula;
 pub use lit::{Lit, Var};
 pub use miter::{check_equivalence, Miter, MiterError, MiterOutcome, MiterWitness};
-pub use reach::{bounded_reach, replay_witness, Reachability};
+pub use reach::{bounded_reach, Reachability};
 pub use solver::{Model, SatResult, Solver, SolverStats};
 pub use unroll::{FrameState, Unroller};

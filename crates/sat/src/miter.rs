@@ -175,17 +175,7 @@ impl Miter {
                         lit_of[id.index()] = source_var(cnf, sources, net.node_name(id)).pos();
                     }
                 }
-                for &g in net.eval_order() {
-                    let out = cnf.new_var().pos();
-                    let ins: Vec<Lit> = net
-                        .node(g)
-                        .fanins()
-                        .iter()
-                        .map(|&f| lit_of[f.index()])
-                        .collect();
-                    cnf.gate(net.node(g).kind(), out, &ins);
-                    lit_of[g.index()] = out;
-                }
+                cnf.encode_gates(net, net.eval_order(), &mut lit_of);
                 lit_of
             };
         let left_lits = encode(&mut cnf, &mut sources, left);

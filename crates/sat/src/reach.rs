@@ -121,35 +121,19 @@ pub fn bounded_reach(
     (verdict, stats)
 }
 
-/// Replay a reachability witness by simulation, returning the final state.
-/// The certifier uses this to validate every `Reachable` verdict.
-pub fn replay_witness(net: &Netlist, pis: &[Bits]) -> Bits {
-    use fbt_sim::comb;
-    let mut state = Bits::zeros(net.num_dffs());
-    for v in pis {
-        let mut vals = vec![false; net.num_nodes()];
-        for (i, &id) in net.inputs().iter().enumerate() {
-            vals[id.index()] = v.get(i);
-        }
-        for (i, &id) in net.dffs().iter().enumerate() {
-            vals[id.index()] = state.get(i);
-        }
-        comb::eval_scalar(net, &mut vals);
-        state = net
-            .dffs()
-            .iter()
-            .map(|&d| vals[net.node(d).fanins()[0].index()])
-            .collect();
-    }
-    state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fbt_netlist::s27;
     use fbt_sim::comb;
+    use fbt_sim::seq::simulate_sequence;
     use std::collections::HashSet;
+
+    /// The state a witness drives the circuit into from reset.
+    fn replay(net: &Netlist, pis: &[Bits]) -> Bits {
+        let mut traj = simulate_sequence(net, &Bits::zeros(net.num_dffs()), pis);
+        traj.states.pop().expect("a trajectory holds its start")
+    }
 
     /// All states reachable from reset within `k` cycles, by brute force.
     fn enumerate_reachable(net: &Netlist, k: usize, cube: Option<&[Trit]>) -> HashSet<Bits> {
@@ -208,7 +192,7 @@ mod tests {
                         "SAT over-approximated {target}"
                     );
                     assert!(pis.len() <= k);
-                    assert_eq!(replay_witness(&net, pis), target, "witness must replay");
+                    assert_eq!(replay(&net, pis), target, "witness must replay");
                 }
                 Reachability::Unreachable { bound } => {
                     assert_eq!(*bound, k);
@@ -277,7 +261,7 @@ mod tests {
         // A single conflict is enough only for trivial depths; the verdict
         // must never be a wrong Unreachable.
         if let Reachability::Reachable { pis } = &verdict {
-            assert_eq!(replay_witness(&net, pis), target);
+            assert_eq!(replay(&net, pis), target);
         }
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! Launch/capture and functional-constraint conditions are layered on top:
 //! [`Unroller::constrain_pis`] pins the specified positions of a primary
-//! input cube (unit clauses per frame), and the `assert_*` helpers pin state
-//! or next-state vectors for reachability targets.
+//! input cube (unit clauses per frame), and the `assert_*` helpers pin
+//! input vectors or the next-state vector of a reachability target.
 
 use fbt_netlist::{Netlist, NodeId};
 use fbt_sim::{Bits, Trit};
@@ -106,13 +106,7 @@ impl<'a> Unroller<'a> {
                 }
             }
         }
-        for &id in net.eval_order() {
-            let out = self.cnf.new_var().pos();
-            let node = net.node(id);
-            let ins: Vec<Lit> = node.fanins().iter().map(|f| lits[f.index()]).collect();
-            self.cnf.gate(node.kind(), out, &ins);
-            lits[id.index()] = out;
-        }
+        self.cnf.encode_gates(net, net.eval_order(), &mut lits);
         self.frames.push(lits);
         self.frames.len() - 1
     }
@@ -161,15 +155,6 @@ impl<'a> Unroller<'a> {
         for i in 0..pis.len() {
             let l = self.pi_lit(frame, i);
             self.cnf.add_clause(&[l.xor_neg(!pis.get(i))]);
-        }
-    }
-
-    /// Pin the present state at `frame` to the given vector.
-    pub fn assert_state(&mut self, frame: usize, state: &Bits) {
-        assert_eq!(state.len(), self.net.num_dffs(), "state width mismatch");
-        for i in 0..state.len() {
-            let l = self.state_lit(frame, i);
-            self.cnf.add_clause(&[l.xor_neg(!state.get(i))]);
         }
     }
 

@@ -37,11 +37,12 @@ echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "== fbt-lint golden reports =="
-# Every bundled benchmark's JSON report must be bit-identical to the
-# checked-in golden file, and well-formed JSON. The --json payload now
-# carries spliced "fix"/"perf" keys (the subject's wall-clock and the fix
-# engine's miter effort); the helper asserts they are well-formed, then
-# strips them so the pinned report bodies stay byte-comparable.
+# Every catalog circuit with a golden file (all of them but the seeded bad
+# circuit) must report bit-identically to it, in well-formed JSON. The
+# --json payload now carries spliced "fix"/"perf" keys (the subject's
+# wall-clock and the fix engine's miter effort); the helper asserts they
+# are well-formed, then strips them so the pinned report bodies stay
+# byte-comparable.
 cargo build --release -q -p fbt-lint
 lint_bin=target/release/fbt-lint
 lint_out=$(mktemp)
@@ -62,7 +63,8 @@ body = raw[: min(cuts)] + "}" if cuts else raw
 open(sys.argv[2], "w").write(body + "\n")
 EOF
 }
-for gold in crates/lint/tests/golden/s*.json; do
+catalog_goldens=$(ls crates/lint/tests/golden/*.json | grep -v '/bad_circuit\.json$')
+for gold in ${catalog_goldens}; do
     name=$(basename "${gold}" .json)
     "${lint_bin}" --json "${name}" 2>/dev/null > "${lint_out}"
     python3 -m json.tool "${lint_out}" > /dev/null
@@ -159,17 +161,18 @@ grep -q "bench-parse" "${lint_out}"
 rm -rf "${fix_dir}" "${bad_in}"
 
 echo "== frontend twins (Verilog import == .bench import, byte-for-byte) =="
-# Every golden-report circuit is exported in both wire formats and
+# Every catalog golden's circuit is exported in both wire formats and
 # re-imported: the structural digests must agree across formats, and the
 # lint report over the Verilog twin (via the strict --netlist route) must
-# be byte-identical to the committed .bench-era golden. The verilog_twins
+# be byte-identical to the committed golden, capped rules included (they
+# show findings in name order, not node order). The verilog_twins
 # suite then proves the *generation* artifacts over re-imported twins match
 # the committed Chapter-4 fixtures byte-exactly.
 cargo build --release -q -p fbt-bench --bin fbt-conv
 conv_bin=target/release/fbt-conv
 conv_dir=$(mktemp -d)
 lint_body=$(mktemp)
-for gold in crates/lint/tests/golden/s*.json; do
+for gold in ${catalog_goldens}; do
     name=$(basename "${gold}" .json)
     "${conv_bin}" emit "${name}" -o "${conv_dir}/${name}.bench"
     "${conv_bin}" emit "${name}" -o "${conv_dir}/${name}.v"

@@ -20,8 +20,8 @@
 //! * [`bist`] — LFSR/MISR/TPG hardware models, state holding, area model
 //! * [`sat`] — CDCL SAT solver and time-frame-expansion CNF encoding, for
 //!   untestability proofs and reachability certification
-//! * [`lint`] — static design-rule analysis over netlists, PI-constraint
-//!   sets and BIST plans, plus the generators' fault pre-flight
+//! * [`lint`] — static design-rule analysis over netlists and
+//!   PI-constraint sets, plus the generators' fault pre-flight
 //! * [`core`] — functional broadside BIST generation (the paper's method)
 //!
 //! # Quickstart
